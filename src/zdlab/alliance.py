@@ -18,7 +18,7 @@ from .game import (COOPERATE, DEFECT, GameShape, PayoffVectors,
                    alliance_unison_payoff, outsider_unison_payoff,
                    payoff_vectors)
 from .markov import (FollowerStrategy, LeaderStrategy, build_transition_matrix,
-                     expected_payoffs, stationary, with_owner)
+                     expected_payoffs, stationary)
 
 _F_ZERO = 1e-15
 
@@ -218,12 +218,12 @@ def verify_enforcement(result: SynthesisResult, outsider_strategies,
     n_out_leaders = shape.n_leaders - shape.n_alliance
     if len(outsider_strategies) != shape.n_players - shape.n_alliance:
         raise ValueError("need one strategy per outsider")
-    leaders = [with_owner(result.strategy, i) for i in range(shape.n_alliance)]
+    leaders = [result.strategy] * shape.n_alliance
     leaders += list(outsider_strategies[:n_out_leaders])
     followers = list(outsider_strategies[n_out_leaders:])
 
     tm = build_transition_matrix(shape, leaders, followers, coupling=True)
-    sv = stationary(tm, tol=1e-12)
+    sv = stationary(tm)
     pi_a, pi_out = expected_payoffs(shape, sv, payoff_vectors(shape))
     return abs(pi_out - chi * pi_a - (1 - chi) * l)
 

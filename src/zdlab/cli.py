@@ -1,7 +1,9 @@
 """Command-line interface and experiment orchestration.
 
 Subcommands: topo, ingest, metrics, synth, verify, field, opt, sweep.
-Exit codes: 0 success, 2 configuration error, 3 infeasibility.
+Exit codes: 0 success, 2 configuration or input error, 3 infeasibility,
+4 numerical failure (the stationary solve did not converge, or the
+determinant normalization degenerated).
 """
 
 from __future__ import annotations
@@ -12,13 +14,14 @@ import json
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import alliance as zd
 from . import graphs
-from .errors import ConfigError, ConvergenceError, InfeasibleError, ZdlabError
+from .errors import (ConfigError, ConvergenceError, DegenerateChainError,
+                     InfeasibleError, ZdlabError)
 from .field import Deployment, cooperator_ratio, evaluate
 from .game import GameShape, PayoffScale
 from .markov import FollowerStrategy, LeaderStrategy
@@ -69,6 +72,26 @@ def _require_keys(mapping, allowed, where):
         raise ConfigError(f"unknown field(s) in {where}: {sorted(unknown)}")
 
 
+# JSON value types accepted per field; bools never count as numbers.
+_INT = (int,)
+_NUM = (int, float)
+_STR = (str,)
+_OBJ = (dict,)
+_NULL = (type(None),)
+
+_GA_TYPES = {"population_size": _INT, "generations": _INT,
+             "tournament_size": _INT, "crossover_rate": _NUM,
+             "mutation_rate": _NUM + _NULL, "elitism_count": _INT}
+
+
+def _typed(mapping, key, kinds, where, default=None):
+    """``mapping[key]``, or ``default`` when absent, checked against ``kinds``."""
+    value = mapping.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"{where} field {key!r} has the wrong type: {value!r}")
+    return value
+
+
 def load_config(doc: dict) -> ExperimentConfig:
     """Strictly validated sweep configuration."""
     _require_keys(doc, ("topology", "scale", "k_range", "ga", "ratio",
@@ -77,28 +100,30 @@ def load_config(doc: dict) -> ExperimentConfig:
         if key not in doc:
             raise ConfigError(f"config missing required field {key!r}")
 
-    topo_doc = doc["topology"]
+    topo_doc = _typed(doc, "topology", _OBJ, "config")
     if "trace" in topo_doc:
         _require_keys(topo_doc, ("trace", "min_contacts"), "topology")
-        topology = TopologySpec(trace=topo_doc["trace"],
-                                min_contacts=int(topo_doc.get("min_contacts", 1)))
+        topology = TopologySpec(
+            trace=_typed(topo_doc, "trace", _STR, "topology"),
+            min_contacts=_typed(topo_doc, "min_contacts", _INT, "topology", 1))
     else:
         _require_keys(topo_doc, ("type", "n", "seed", "density"), "topology")
         if "type" not in topo_doc or "n" not in topo_doc:
             raise ConfigError("topology needs 'type' and 'n' (or 'trace')")
-        kind = topo_doc["type"]
+        kind = _typed(topo_doc, "type", _STR, "topology")
         if kind not in graphs.TOPOLOGIES:
             raise ConfigError(f"unknown topology type {kind!r}")
-        topology = TopologySpec(kind=kind, n=int(topo_doc["n"]),
-                                seed=int(topo_doc.get("seed", 0)),
-                                density=topo_doc.get("density"))
+        topology = TopologySpec(
+            kind=kind, n=_typed(topo_doc, "n", _INT, "topology"),
+            seed=_typed(topo_doc, "seed", _INT, "topology", 0),
+            density=_typed(topo_doc, "density", _NUM + _NULL, "topology"))
 
-    scale_doc = doc["scale"]
+    scale_doc = _typed(doc, "scale", _OBJ, "config")
     _require_keys(scale_doc, ("a", "k", "b"), "scale")
     try:
-        scale = PayoffScale(float(scale_doc.get("a", 2.0)),
-                            int(scale_doc.get("k", 1)),
-                            float(scale_doc.get("b", 3.0)))
+        scale = PayoffScale(float(_typed(scale_doc, "a", _NUM, "scale", 2.0)),
+                            _typed(scale_doc, "k", _INT, "scale", 1),
+                            float(_typed(scale_doc, "b", _NUM, "scale", 3.0)))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if scale(2) <= 1.0:
@@ -106,33 +131,33 @@ def load_config(doc: dict) -> ExperimentConfig:
             "payoff scale must exceed 1 for every reachable game size"
         )
 
-    k_doc = doc["k_range"]
+    k_doc = _typed(doc, "k_range", _OBJ, "config")
     _require_keys(k_doc, ("min", "max", "step"), "k_range")
-    k_min = int(k_doc.get("min", 1))
-    k_max = int(k_doc.get("max", k_min))
-    k_step = int(k_doc.get("step", 1))
+    k_min = _typed(k_doc, "min", _INT, "k_range", 1)
+    k_max = _typed(k_doc, "max", _INT, "k_range", k_min)
+    k_step = _typed(k_doc, "step", _INT, "k_range", 1)
     if k_min < 1 or k_max < k_min or k_step < 1:
         raise ConfigError("k_range must satisfy 1 <= min <= max, step >= 1")
 
-    ga_doc = doc.get("ga", {})
-    _require_keys(ga_doc, ("population_size", "generations", "tournament_size",
-                           "crossover_rate", "mutation_rate", "elitism_count"),
-                  "ga")
+    ga_doc = _typed(doc, "ga", _OBJ, "config", {})
+    _require_keys(ga_doc, _GA_TYPES, "ga")
+    for key in ga_doc:
+        _typed(ga_doc, key, _GA_TYPES[key], "ga")
     try:
         ga = GAConfig(**ga_doc)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid ga config: {exc}") from exc
 
-    ratio_doc = doc.get("ratio", {})
+    ratio_doc = _typed(doc, "ratio", _OBJ, "config", {})
     _require_keys(ratio_doc, ("mode", "rounds"), "ratio")
-    ratio_mode = ratio_doc.get("mode", "expected")
+    ratio_mode = _typed(ratio_doc, "mode", _STR, "ratio", "expected")
     if ratio_mode not in ("expected", "monte_carlo"):
         raise ConfigError(f"unknown ratio mode {ratio_mode!r}")
-    ratio_rounds = int(ratio_doc.get("rounds", 1000))
+    ratio_rounds = _typed(ratio_doc, "rounds", _INT, "ratio", 1000)
     if ratio_rounds < 1:
         raise ConfigError("ratio rounds must be positive")
 
-    repetitions = int(doc.get("repetitions", 30))
+    repetitions = _typed(doc, "repetitions", _INT, "config", 30)
     if repetitions < 1:
         raise ConfigError("repetitions must be positive")
 
@@ -140,8 +165,8 @@ def load_config(doc: dict) -> ExperimentConfig:
                             k_max=k_max, k_step=k_step, ga=ga,
                             ratio_mode=ratio_mode, ratio_rounds=ratio_rounds,
                             repetitions=repetitions,
-                            seed=int(doc.get("seed", 0)),
-                            output=str(doc["output"]))
+                            seed=_typed(doc, "seed", _INT, "config", 0),
+                            output=_typed(doc, "output", _STR, "config"))
 
 
 def load_config_file(path) -> ExperimentConfig:
@@ -178,7 +203,7 @@ def run_sweep(cfg: ExperimentConfig):
         for rep in range(cfg.repetitions):
             seed = _rep_seed(cfg.seed, k, rep)
             start = time.perf_counter()
-            ga = GAConfig(**{**_ga_dict(cfg.ga), "seed": seed})
+            ga = replace(cfg.ga, seed=seed)
             dep, objective, _ = optimize_ga(g, k, cfg.scale, ga)
             result = evaluate(dep)
             expected = cooperator_ratio(dep, "expected")
@@ -202,16 +227,6 @@ def run_sweep(cfg: ExperimentConfig):
             })
     write_sweep_csv(cfg.output, rows)
     return rows
-
-
-def _ga_dict(ga: GAConfig):
-    return {"population_size": ga.population_size,
-            "generations": ga.generations,
-            "tournament_size": ga.tournament_size,
-            "crossover_rate": ga.crossover_rate,
-            "mutation_rate": ga.mutation_rate,
-            "elitism_count": ga.elitism_count,
-            "seed": ga.seed}
 
 
 def _fmt(value):
@@ -456,9 +471,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (InfeasibleError, ConvergenceError) as exc:
+    except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
+    except (ConvergenceError, DegenerateChainError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 4
     except (ZdlabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,8 +13,12 @@ class InfeasibleError(ZdlabError):
     """Requested target cannot be enforced (CLI exit code 3)."""
 
 
+class ExhaustiveCapError(ZdlabError):
+    """Enumeration refused: too many candidate subsets (CLI exit code 2)."""
+
+
 class ConvergenceError(ZdlabError):
-    """Stationary solver failed to converge."""
+    """Stationary solver failed to converge (CLI exit code 4)."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)
@@ -22,7 +26,7 @@ class ConvergenceError(ZdlabError):
 
 
 class DegenerateChainError(ZdlabError):
-    """Determinant normalization is numerically degenerate."""
+    """Determinant normalization is numerically degenerate (CLI exit code 4)."""
 
 
 class StrategyTableError(ZdlabError):

@@ -8,18 +8,21 @@ chain lives on all 2^N action profiles.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateChainError, StrategyTableError
-from .game import COOPERATE, GameShape, PayoffVectors
+from .game import GameShape, PayoffVectors
 
 MAX_PLAYERS = 10
 MAX_DETERMINANT_PLAYERS = 8
 
 # Power-iteration sweeps attempted before the dense linear-solve fallback.
 _POWER_BUDGET = 256
+# Stationary residual target and the total sweep limit.
+_TOL = 1e-12
+_MAX_ITERS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -121,6 +124,15 @@ def _state_bits(n_players):
     return bits
 
 
+def _leader_table(strat: LeaderStrategy, shape: GameShape):
+    """``strat.prob`` over the (prev_action, coop_other_leaders,
+    coop_followers) index space, as a (2, n_leaders, n_followers + 1) array."""
+    return np.array([[[strat.prob(s, x, y)
+                       for y in range(shape.n_followers + 1)]
+                      for x in range(shape.n_leaders)]
+                     for s in (0, 1)])
+
+
 def build_transition_matrix(shape: GameShape, leaders, followers,
                             coupling: bool = False) -> TransitionMatrix:
     """One-step transition matrix of the chain.
@@ -140,13 +152,6 @@ def build_transition_matrix(shape: GameShape, leaders, followers,
     leader_coops = bits[:, :nl].sum(axis=1)
     follower_coops = bits[:, nl:].sum(axis=1)
 
-    # Conditional cooperation probability of each leader given the row state.
-    cond = np.empty((size, nl))
-    for v in range(size):
-        for i, strat in enumerate(leaders):
-            s = bits[v, i]
-            cond[v, i] = strat.prob(s, leader_coops[v] - s, follower_coops[v])
-
     # Follower factor depends only on the successor column.
     fol = np.ones(size)
     for j, strat in enumerate(followers):
@@ -154,26 +159,30 @@ def build_transition_matrix(shape: GameShape, leaders, followers,
         acted = bits[:, nl + j] == 1
         fol *= np.where(acted, q, 1.0 - q)
 
-    matrix = np.ones((size, size))
-    independent = range(na, nl) if coupling else range(nl)
-    for i in independent:
-        coop_col = bits[:, i] == 1
-        matrix *= np.where(coop_col[None, :], cond[:, i][:, None],
-                           (1.0 - cond[:, i])[:, None])
-
-    if coupling:
-        for v in range(size):
-            groups = {}
-            for i in range(na):
-                groups.setdefault(cond[v, i], []).append(i)
-            row = np.ones(size)
-            for p, members in groups.items():
-                member_bits = bits[:, members]
-                all_c = member_bits.all(axis=1)
-                all_d = ~member_bits.any(axis=1)
-                row *= np.where(all_c, p, np.where(all_d, 1.0 - p, 0.0))
-            matrix[v] *= row
-    matrix *= fol[None, :]
+    # Leader factors are multiplied in place, one leader at a time, into
+    # the follower factor broadcast over the rows.
+    matrix = np.tile(fol, (size, 1))
+    cond = np.empty((size, nl))
+    for i, strat in enumerate(leaders):
+        own = bits[:, i]
+        p = cond[:, i] = _leader_table(strat, shape)[own, leader_coops - own,
+                                                    follower_coops]
+        coin = np.stack([1.0 - p, p], axis=1)
+        if coupling and 0 < i < na:
+            # a member tied with an earlier member copies its action
+            same = cond[:, :i] == p[:, None]
+            tied = same.any(axis=1)
+            first = same.argmax(axis=1)
+            for j in range(i):
+                rows = tied & (first == j)
+                # columns split as (higher bits, bit i, .., bit j, lower bits)
+                pair = matrix.reshape(size, -1, 2, 1 << (i - 1 - j), 2, 1 << j)
+                pair[rows, :, 0, :, 1] = 0.0
+                pair[rows, :, 1, :, 0] = 0.0
+            coin[tied] = 1.0
+        # columns split as (higher bits, bit i, lower bits)
+        act = matrix.reshape(size, -1, 2, 1 << i)
+        act *= coin[:, None, :, None]
 
     sums = matrix.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > 1e-9):
@@ -182,37 +191,28 @@ def build_transition_matrix(shape: GameShape, leaders, followers,
     return TransitionMatrix(matrix, shape, coupling)
 
 
-def stationary(tm: TransitionMatrix, tol: float = 1e-12,
-               max_iters: int = 1_000_000) -> StationaryVector:
-    """Stationary distribution with residual ``max|vM - v| <= tol``.
+def stationary(tm: TransitionMatrix) -> StationaryVector:
+    """Stationary distribution with residual ``max|vM - v| <= _TOL``.
 
-    Power iteration, with a dense linear-solve fallback for slow-mixing
-    chains. Deterministic given identical inputs.
+    Power iteration, with one dense linear-solve attempt after
+    ``_POWER_BUDGET`` sweeps for slow-mixing chains. Deterministic given
+    identical inputs.
     """
     m = tm.matrix
     size = m.shape[0]
     v = np.full(size, 1.0 / size)
-    budget = min(max_iters, _POWER_BUDGET)
-    for _ in range(budget):
+    for sweep in range(_MAX_ITERS):
+        if sweep == _POWER_BUDGET:
+            sol = _dense_stationary(m)
+            if sol is not None:
+                resid = float(np.abs(sol @ m - sol).max())
+                if resid <= _TOL:
+                    return StationaryVector(sol, resid)
+                v = sol
         nxt = v @ m
-        if np.abs(nxt - v).max() <= tol:
+        if np.abs(nxt - v).max() <= _TOL:
             resid = float(np.abs(nxt @ m - nxt).max())
-            if resid <= tol:
-                return StationaryVector(nxt / nxt.sum(), resid)
-        v = nxt
-
-    sol = _dense_stationary(m)
-    if sol is not None:
-        resid = float(np.abs(sol @ m - sol).max())
-        if resid <= tol:
-            return StationaryVector(sol, resid)
-        v = sol
-
-    for _ in range(max_iters - budget):
-        nxt = v @ m
-        if np.abs(nxt - v).max() <= tol:
-            resid = float(np.abs(nxt @ m - nxt).max())
-            if resid <= tol:
+            if resid <= _TOL:
                 return StationaryVector(nxt / nxt.sum(), resid)
         v = nxt
     resid = float(np.abs(v @ m - v).max())
@@ -279,7 +279,3 @@ def expected_payoffs(shape: GameShape, sv: StationaryVector,
     """Expected per-round payoffs (alliance, outsiders) at stationarity."""
     v = sv.vector
     return float(v @ payoffs.alliance), float(v @ payoffs.outsiders)
-
-
-def with_owner(strategy: LeaderStrategy, owner: int) -> LeaderStrategy:
-    return replace(strategy, owner=owner)

@@ -9,6 +9,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .errors import ExhaustiveCapError
 from .field import Deployment, adjacency_matrix, objective_from_mask
 from .game import PayoffScale
 from .graphs import Graph, betweenness
@@ -34,10 +35,6 @@ class GAConfig:
             raise ValueError("elitism count out of range")
         if self.tournament_size < 1:
             raise ValueError("tournament size must be positive")
-
-
-class ExhaustiveCapError(RuntimeError):
-    """Enumeration refused: too many candidate subsets."""
 
 
 def _repair(mask, k, rng):

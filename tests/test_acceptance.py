@@ -20,8 +20,7 @@ from zdlab.game import GameShape, PayoffScale, alliance_unison_payoff
 from zdlab.graphs import betweenness, generate
 from zdlab.markov import (FollowerStrategy, LeaderStrategy,
                           build_transition_matrix, determinant_dot,
-                          leader_index_space, stationary, with_owner,
-                          zd_determinant)
+                          leader_index_space, stationary, zd_determinant)
 from zdlab.optimize import GAConfig, optimize_exhaustive, optimize_ga
 
 LINEAR = PayoffScale(2, 1, 3)     # r(n) = 2n + 3
@@ -85,8 +84,7 @@ def test_criterion_02_determinant_equivalence():
         shape = GameShape(3, 2, 2, 9.0)
         l_min, l_max = feasible_l_range(chi, shape)
         result = synthesize(ZDParams(chi, (l_min + l_max) / 2, shape))
-        leaders = [with_owner(result.strategy, i)
-                   for i in range(shape.n_alliance)]
+        leaders = [result.strategy] * shape.n_alliance
         for _ in range(20):
             outsiders = random_outsiders(shape, rng)
             tm = build_transition_matrix(shape, leaders, outsiders,

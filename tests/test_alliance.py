@@ -6,7 +6,7 @@ from zdlab.alliance import (ZDParams, alliance_admissible, dominance_check,
                             synthesize, verify_enforcement)
 from zdlab.errors import InfeasibleError
 from zdlab.game import GameShape, payoff_vectors
-from zdlab.markov import build_transition_matrix, with_owner, zd_determinant
+from zdlab.markov import build_transition_matrix, zd_determinant
 
 FIG_SHAPE = GameShape(3, 2, 2, 9.0)
 
@@ -129,8 +129,7 @@ class TestEnforcement:
         shape = FIG_SHAPE
         for _ in range(5):
             outsiders = random_outsiders(shape, rng)
-            leaders = [with_owner(result.strategy, i)
-                       for i in range(shape.n_alliance)]
+            leaders = [result.strategy] * shape.n_alliance
             tm = build_transition_matrix(shape, leaders, outsiders,
                                          coupling=True)
             det_f = zd_determinant(tm, result.f_vector, 0)

@@ -5,9 +5,10 @@ import statistics
 
 import pytest
 
+import zdlab.alliance
 from zdlab.cli import (CSV_VERSION, SWEEP_COLUMNS, load_config, main,
                        run_sweep, write_sweep_csv)
-from zdlab.errors import ConfigError
+from zdlab.errors import ConfigError, ConvergenceError
 from zdlab.graphs import Graph
 
 
@@ -187,6 +188,54 @@ class TestMain:
         # missing graph file -> 2
         assert main(["metrics", "--graph", str(tmp_path / "nope.txt")]) == 2
         capsys.readouterr()
+
+    def test_numerical_failure_exit_code(self, monkeypatch, capsys):
+        def diverge(tm):
+            raise ConvergenceError("stationary solve did not converge", 1.0)
+
+        monkeypatch.setattr(zdlab.alliance, "stationary", diverge)
+        rc = main(["verify", "--players", "3", "--alliance", "2", "--r", "9",
+                   "--l", "5"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_exhaustive_cap_exit_code(self, tmp_path, capsys):
+        gpath = str(tmp_path / "mesh80.txt")
+        assert main(["topo", "--type", "mesh", "--n", "80",
+                     "--out", gpath]) == 0
+        capsys.readouterr()
+        assert main(["opt", "--graph", gpath, "--K", "5",
+                     "--exhaustive"]) == 2
+        err = capsys.readouterr().err
+        assert "24040016 candidate subsets" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("patch", [
+        {"topology": 5},
+        {"topology": {"type": "mesh", "n": 12, "density": "x"}},
+        {"topology": {"type": "ring", "n": "12"}},
+        {"topology": {"type": 3, "n": 12}},
+        {"topology": {"trace": ["contacts.txt"]}},
+        {"scale": [2, 1, 3]},
+        {"scale": {"a": "2"}},
+        {"k_range": {"min": 1.5, "max": 2}},
+        {"ga": {"population_size": 20.5}},
+        {"ga": {"crossover_rate": "high"}},
+        {"ga": "fast"},
+        {"ratio": {"rounds": True}},
+        {"repetitions": "2"},
+        {"seed": None},
+        {"output": 7},
+    ])
+    def test_mistyped_config_exit_code(self, tmp_path, capsys, patch):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(tmp_path, **patch)))
+        assert main(["sweep", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     def test_sweep_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

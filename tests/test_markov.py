@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zdlab import markov
 from zdlab.errors import DegenerateChainError, StrategyTableError
 from zdlab.game import GameShape, payoff_vectors, state_actions
 from zdlab.markov import (FollowerStrategy, LeaderStrategy,
@@ -83,10 +86,56 @@ class TestBuildMatrix:
         with pytest.raises(StrategyTableError):
             build_transition_matrix(FIG_SHAPE, leaders, followers)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), coupling=st.booleans())
+    def test_matches_scalar_oracle(self, data, coupling):
+        n = data.draw(st.integers(2, 5), "n_players")
+        nl = data.draw(st.integers(1, n), "n_leaders")
+        na = data.draw(st.integers(1, min(nl, n - 1)), "n_alliance")
+        shape = GameShape(n, nl, na, 2.0 * n + 3.0)
+        # a small value set makes ties between alliance members common
+        prob = st.sampled_from([0.0, 0.25, 0.5, 0.7, 1.0])
+        leaders = [LeaderStrategy(i, {key: data.draw(prob)
+                                      for key in _index_space(shape)})
+                   for i in range(nl)]
+        if data.draw(st.booleans(), "shared alliance table"):
+            leaders[:na] = [leaders[0]] * na
+        followers = [FollowerStrategy(j, [data.draw(prob)
+                                          for _ in range(nl + 1)])
+                     for j in range(nl, n)]
+        tm = build_transition_matrix(shape, leaders, followers, coupling)
+        expected = [[_oracle_entry(shape, leaders, followers, coupling, v, w)
+                     for w in range(shape.n_states)]
+                    for v in range(shape.n_states)]
+        np.testing.assert_allclose(tm.matrix, expected, rtol=0, atol=1e-15)
+
     def test_wrong_player_count(self):
         leaders = [LeaderStrategy.constant(0, FIG_SHAPE, 0.5)]
         with pytest.raises(ValueError):
             build_transition_matrix(FIG_SHAPE, leaders, [])
+
+
+def _oracle_entry(shape, leaders, followers, coupling, v, w):
+    """P(v -> w) from prob() one player at a time. Under coupling,
+    alliance members with equal conditional probability form one group that
+    acts in unison: mass p if all cooperate, 1 - p if all defect, else 0."""
+    nl, na = shape.n_leaders, shape.n_alliance
+    prev, nxt = state_actions(v, shape.n_players), state_actions(w, shape.n_players)
+    lc, fc = sum(prev[:nl]), sum(prev[nl:])
+    cond = [s.prob(prev[i], lc - prev[i], fc) for i, s in enumerate(leaders)]
+    groups = {}
+    for i in range(nl):
+        key = cond[i] if coupling and i < na else ("solo", i)
+        groups.setdefault(key, []).append(i)
+    mass = 1.0
+    for members in groups.values():
+        p = cond[members[0]]
+        acts = {nxt[i] for i in members}
+        mass *= 0.0 if len(acts) > 1 else (p if acts == {1} else 1.0 - p)
+    for j, s in enumerate(followers):
+        q = s.prob(sum(nxt[:nl]))
+        mass *= q if nxt[nl + j] else 1.0 - q
+    return mass
 
 
 class TestStationary:
@@ -104,6 +153,26 @@ class TestStationary:
         expected = np.zeros(8)
         expected[0] = 1.0  # state 0 is all-defect
         assert np.allclose(sv.vector, expected, atol=1e-12)
+
+    def test_periodic_chain_uses_dense_fallback(self, monkeypatch):
+        # leaders cooperate iff no leader cooperated last round; the follower
+        # copies the leaders, so the chain cycles all-defect <-> all-cooperate
+        # and power iteration never settles
+        leaders = [LeaderStrategy(i, {key: float(key[0] + key[1] == 0)
+                                      for key in _index_space(FIG_SHAPE)})
+                   for i in range(2)]
+        followers = [FollowerStrategy(2, (0.0, 0.0, 1.0))]
+        tm = build_transition_matrix(FIG_SHAPE, leaders, followers)
+        calls = []
+        dense = markov._dense_stationary
+        monkeypatch.setattr(markov, "_dense_stationary",
+                            lambda m: calls.append(1) or dense(m))
+        sv = stationary(tm)
+        assert calls == [1]
+        expected = np.zeros(8)
+        expected[[0, 7]] = 0.5
+        assert np.allclose(sv.vector, expected, atol=1e-12)
+        assert sv.residual <= 1e-12
 
     def test_follower_relabel_equivariance(self):
         shape = GameShape(4, 2, 2, 11.0)
