@@ -77,6 +77,7 @@ _INT = (int,)
 _NUM = (int, float)
 _STR = (str,)
 _OBJ = (dict,)
+_LIST = (list,)
 _NULL = (type(None),)
 
 _GA_TYPES = {"population_size": _INT, "generations": _INT,
@@ -84,10 +85,14 @@ _GA_TYPES = {"population_size": _INT, "generations": _INT,
              "mutation_rate": _NUM + _NULL, "elitism_count": _INT}
 
 
+def _is_a(value, kinds):
+    return not isinstance(value, bool) and isinstance(value, kinds)
+
+
 def _typed(mapping, key, kinds, where, default=None):
     """``mapping[key]``, or ``default`` when absent, checked against ``kinds``."""
     value = mapping.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, kinds):
+    if not _is_a(value, kinds):
         raise ConfigError(f"{where} field {key!r} has the wrong type: {value!r}")
     return value
 
@@ -269,19 +274,43 @@ def _shape_from_args(args) -> GameShape:
     return GameShape(args.players, n_leaders, args.alliance, args.r)
 
 
+def _leader_table(table, where):
+    """Tuple-keyed probabilities from a JSON object keyed by JSON arrays."""
+    if not isinstance(table, dict):
+        raise ConfigError(f"{where} must be an object")
+    probs = {}
+    for key in table:
+        try:
+            index = json.loads(key)
+        except json.JSONDecodeError:
+            index = None
+        if not isinstance(index, list):
+            raise ConfigError(f"{where} key {key!r} is not a JSON array")
+        probs[tuple(index)] = _typed(table, key, _NUM, where)
+    return probs
+
+
 def _outsiders_from_args(shape, args):
     if getattr(args, "outsider_file", None):
-        with open(args.outsider_file) as fh:
-            doc = json.load(fh)
+        try:
+            with open(args.outsider_file) as fh:
+                doc = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(
+                f"cannot read outsider file {args.outsider_file}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError("outsider file root must be a JSON object")
         _require_keys(doc, ("leaders", "followers"), "outsider file")
-        leaders = []
-        for offset, table in enumerate(doc.get("leaders", [])):
-            owner = shape.n_alliance + offset
-            probs = {tuple(json.loads(key)): value
-                     for key, value in table.items()}
-            leaders.append(LeaderStrategy(owner, probs))
-        followers = [FollowerStrategy(shape.n_leaders + j, tuple(probs))
-                     for j, probs in enumerate(doc.get("followers", []))]
+        leaders = [LeaderStrategy(shape.n_alliance + offset,
+                                  _leader_table(table, f"leaders[{offset}]"))
+                   for offset, table in enumerate(
+                       _typed(doc, "leaders", _LIST, "outsider file", []))]
+        followers = []
+        for j, probs in enumerate(
+                _typed(doc, "followers", _LIST, "outsider file", [])):
+            if not _is_a(probs, _LIST) or not all(_is_a(p, _NUM) for p in probs):
+                raise ConfigError(f"followers[{j}] must be a list of numbers")
+            followers.append(FollowerStrategy(shape.n_leaders + j, tuple(probs)))
         return leaders + followers
     rng = np.random.default_rng(args.outsider_seed)
     return zd.random_outsiders(shape, rng)

@@ -9,6 +9,7 @@ iteration is needed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -113,22 +114,29 @@ def cooperator_ratio(dep: Deployment, mode: str = "expected",
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    adj = np.zeros((g.n, g.n), dtype=bool)
-    for u in range(g.n):
-        for v in g.neighbors(u):
-            adj[u, v] = True
+    """Dense 0/1 adjacency as float64, so a mask product is one BLAS call."""
+    adj = np.zeros((g.n, g.n))
+    adj[np.repeat(np.arange(g.n), g.degrees), g.indices] = 1.0
     return adj
 
 
-def objective_from_mask(adj: np.ndarray, zd_mask: np.ndarray,
-                        scale: PayoffScale) -> float:
-    """Vectorized placement objective; same formula as :func:`evaluate`,
-    used as the optimizer's fitness."""
-    zd = zd_mask.astype(float)
-    n_zd = adj @ zd
-    has_regular = (adj @ (1.0 - zd)) > 0
-    r = scale(n_zd + 1.0)
-    delta = np.where(has_regular, -1.0, 0.0)
-    delta += np.where(n_zd > 0, r * (n_zd - 1.0) / (n_zd + 1.0) + 1.0, 0.0)
-    q = 1.0 / (1.0 + np.exp(-delta))
-    return float(q[~zd_mask].sum())
+@functools.lru_cache(maxsize=8)
+def _coop_table(scale: PayoffScale, max_degree: int) -> np.ndarray:
+    """Cooperation probability of a regular node indexed by
+    ``[has_regular_neighbors, zd_neighbors]``, shape (2, max_degree + 1)."""
+    table = np.array([[coop_probability(node_delta(m, bool(h), scale))
+                       for m in range(max_degree + 1)] for h in (0, 1)])
+    table.flags.writeable = False
+    return table
+
+
+def objective_from_mask(adj: np.ndarray, masks: np.ndarray,
+                        scale: PayoffScale) -> np.ndarray:
+    """Placement objective of every row of a (P, V) boolean population;
+    the per-node terms come from :func:`node_delta`, as in
+    :func:`evaluate`. Returns shape (P,)."""
+    degrees = adj.sum(axis=0)
+    n_zd = (masks @ adj).astype(np.intp)
+    has_regular = (n_zd < degrees).astype(np.intp)
+    q = _coop_table(scale, int(degrees.max()))[has_regular, n_zd]
+    return np.where(masks, 0.0, q).sum(axis=1)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import TraceParseError
 
@@ -13,44 +16,64 @@ DEFAULT_MESH_DENSITY = 0.49
 
 
 class Graph:
-    """Simple undirected graph on nodes 0..n-1, no self-loops or duplicates."""
+    """Immutable simple undirected graph on nodes 0..n-1.
 
-    def __init__(self, n: int):
+    Adjacency is stored in CSR form: the neighbours of ``u`` are
+    ``indices[indptr[u]:indptr[u + 1]]``, sorted ascending, both int32 and
+    read-only. ``edges`` may list an edge in either direction and more than
+    once; self-loops and out-of-range ids are rejected.
+    """
+
+    __slots__ = ("n", "indptr", "indices")
+
+    def __init__(self, n: int, edges):
         if n < 1:
             raise ValueError("graph needs at least one node")
-        self.n = n
-        self._adj = [set() for _ in range(n)]
-
-    def add_edge(self, u: int, v: int):
-        if u == v:
+        ends = np.array([*edges] or np.empty((0, 2)), dtype=np.int64)
+        if ends.ndim != 2 or ends.shape[1] != 2:
+            raise ValueError("edges must be (u, v) pairs")
+        if np.any(ends[:, 0] == ends[:, 1]):
             raise ValueError("self-loops are not allowed")
-        if not (0 <= u < self.n and 0 <= v < self.n):
+        if np.any((ends < 0) | (ends >= n)):
             raise ValueError("node id out of range")
-        self._adj[u].add(v)
-        self._adj[v].add(u)
+        # both directions as one sorted key per arc, duplicates dropped
+        keys = np.concatenate((ends[:, 0] * n + ends[:, 1],
+                               ends[:, 1] * n + ends[:, 0]))
+        keys.sort()
+        keys = keys[np.flatnonzero(np.diff(keys, prepend=-1))]
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        indices = (keys % n).astype(np.int32)
+        indptr.flags.writeable = False
+        indices.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Graph is immutable")
 
     def has_edge(self, u, v):
-        return v in self._adj[u]
+        return v in self.neighbors(u)
 
-    def neighbors(self, u):
-        return self._adj[u]
+    def neighbors(self, u) -> list[int]:
+        return self.indices[self.indptr[u]:self.indptr[u + 1]].tolist()
 
-    def degree(self, u):
-        return len(self._adj[u])
+    def degree(self, u) -> int:
+        return int(self.indptr[u + 1] - self.indptr[u])
+
+    @property
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.indptr)
 
     @property
     def edge_count(self):
-        return sum(len(a) for a in self._adj) // 2
+        return len(self.indices) // 2
 
     def edges(self):
-        return sorted((u, v) for u in range(self.n) for v in self._adj[u] if u < v)
-
-    @classmethod
-    def from_edges(cls, n, edges):
-        g = cls(n)
-        for u, v in edges:
-            g.add_edge(u, v)
-        return g
+        src = np.repeat(np.arange(self.n, dtype=np.int32), self.degrees)
+        upper = src < self.indices
+        return list(zip(src[upper].tolist(), self.indices[upper].tolist()))
 
     def write(self, path):
         with open(path, "w") as fh:
@@ -60,26 +83,26 @@ class Graph:
 
     @classmethod
     def read(cls, path):
-        g = None
+        n, edges = None, []
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 parts = line.split()
-                if g is None:
+                if n is None:
                     if len(parts) != 2 or parts[0] != "V":
                         raise ValueError(
                             f"{path}:{lineno}: expected header 'V <count>'"
                         )
-                    g = cls(int(parts[1]))
+                    n = int(parts[1])
                     continue
                 if len(parts) != 2:
                     raise ValueError(f"{path}:{lineno}: expected 'u v'")
-                g.add_edge(int(parts[0]), int(parts[1]))
-        if g is None:
+                edges.append((int(parts[0]), int(parts[1])))
+        if n is None:
             raise ValueError(f"{path}: empty graph file")
-        return g
+        return cls(n, edges)
 
 
 def generate(topology: str, n: int, seed: int = 0,
@@ -93,33 +116,34 @@ def generate(topology: str, n: int, seed: int = 0,
     elif n < 2:
         raise ValueError(f"a {topology} needs at least two nodes")
 
-    g = Graph(n)
     if topology == "star":
-        for leaf in range(1, n):
-            g.add_edge(0, leaf)
+        edges = [(0, leaf) for leaf in range(1, n)]
     elif topology == "ring":
-        for u in range(n):
-            g.add_edge(u, (u + 1) % n)
+        edges = [(u, (u + 1) % n) for u in range(n)]
     elif topology == "tree":
         # complete binary tree filled level by level
-        for child in range(1, n):
-            g.add_edge(child, (child - 1) // 2)
+        edges = [(child, (child - 1) // 2) for child in range(1, n)]
     else:
         density = DEFAULT_MESH_DENSITY if mesh_density is None else mesh_density
         if not 0.0 < density <= 1.0:
             raise ValueError("mesh density must lie in (0, 1]")
         rng = random.Random(seed)
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < density:
-                    g.add_edge(u, v)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < density]
         # min-degree-2 repair
+        adj = [set() for _ in range(n)]
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
         for u in range(n):
-            while g.degree(u) < 2:
+            while len(adj[u]) < 2:
                 candidates = [v for v in range(n)
-                              if v != u and not g.has_edge(u, v)]
-                g.add_edge(u, rng.choice(candidates))
-    return g
+                              if v != u and v not in adj[u]]
+                v = rng.choice(candidates)
+                adj[u].add(v)
+                adj[v].add(u)
+                edges.append((u, v))
+    return Graph(n, edges)
 
 
 @dataclass(frozen=True)
@@ -183,11 +207,8 @@ def ingest_trace(records, min_contacts: int = 1) -> Graph:
         counts[(min(a, b), max(a, b))] += 1
     if not ids:
         raise ValueError("trace contains no records")
-    g = Graph(len(ids))
-    for (a, b), c in counts.items():
-        if c >= min_contacts:
-            g.add_edge(a, b)
-    return g
+    return Graph(len(ids), [edge for edge, c in counts.items()
+                            if c >= min_contacts])
 
 
 @dataclass(frozen=True)
@@ -201,9 +222,15 @@ def degree_stats(g: Graph) -> DegreeStats:
     return DegreeStats(degrees, sum(degrees) / g.n)
 
 
-def betweenness(g: Graph) -> list[float]:
+@functools.lru_cache(maxsize=1)
+def betweenness(g: Graph) -> tuple[float, ...]:
     """Shortest-path betweenness per node (Brandes), unnormalized, with
-    fractional credit on ties; each unordered pair counted once."""
+    fractional credit on ties; each unordered pair counted once.
+
+    The last graph's scores are cached, so the optimizer and the sweep
+    share one computation per graph.
+    """
+    neighbors = [g.neighbors(u) for u in range(g.n)]
     scores = [0.0] * g.n
     for source in range(g.n):
         stack = []
@@ -216,7 +243,7 @@ def betweenness(g: Graph) -> list[float]:
         while queue:
             v = queue.popleft()
             stack.append(v)
-            for w in g.neighbors(v):
+            for w in neighbors[v]:
                 if dist[w] < 0:
                     dist[w] = dist[v] + 1
                     queue.append(w)
@@ -230,4 +257,4 @@ def betweenness(g: Graph) -> list[float]:
                 delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
             if w != source:
                 scores[w] += delta[w]
-    return [s / 2.0 for s in scores]
+    return tuple(s / 2.0 for s in scores)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -13,6 +13,9 @@ from .errors import ExhaustiveCapError
 from .field import Deployment, adjacency_matrix, objective_from_mask
 from .game import PayoffScale
 from .graphs import Graph, betweenness
+
+# mask elements scored per exhaustive-search block
+EXHAUSTIVE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -28,6 +31,8 @@ class GAConfig:
     def __post_init__(self):
         if self.population_size < 2:
             raise ValueError("population must hold at least two individuals")
+        if self.generations < 1:
+            raise ValueError("generations must be at least 1")
         for rate in (self.crossover_rate, self.mutation_rate):
             if rate is not None and not 0.0 <= rate <= 1.0:
                 raise ValueError("rates must lie in [0, 1]")
@@ -37,23 +42,27 @@ class GAConfig:
             raise ValueError("tournament size must be positive")
 
 
-def _repair(mask, k, rng):
-    """Force exactly k ZD bits, randomizing which bits flip."""
-    zd_idx = np.flatnonzero(mask)
-    if len(zd_idx) > k:
-        drop = rng.choice(zd_idx, size=len(zd_idx) - k, replace=False)
-        mask[drop] = False
-    elif len(zd_idx) < k:
-        regular_idx = np.flatnonzero(~mask)
-        add = rng.choice(regular_idx, size=k - len(zd_idx), replace=False)
-        mask[add] = True
-    return mask
+def _check_k(g: Graph, k: int):
+    if not 1 <= k < g.n:
+        raise ValueError("K must satisfy 1 <= K < V")
 
 
-def _top_k_mask(values, k, n):
-    order = sorted(range(n), key=lambda u: (-values[u], u))
-    mask = np.zeros(n, dtype=bool)
-    mask[order[:k]] = True
+def fix_k(masks: np.ndarray, k: int, rng) -> np.ndarray:
+    """Rows of ``masks`` with exactly k set bits, by one random-key pass.
+
+    A row with more than k bits keeps a uniformly random k of them; a row
+    with fewer keeps all of them plus uniformly random unset bits.
+    """
+    keys = rng.random(masks.shape) + ~masks  # set bits sort first
+    keep = np.argpartition(keys, k - 1, axis=1)[:, :k]
+    out = np.zeros(masks.shape, dtype=bool)
+    np.put_along_axis(out, keep, True, axis=1)
+    return out
+
+
+def _top_k_mask(values, k):
+    mask = np.zeros(len(values), dtype=bool)
+    mask[np.argsort(-np.asarray(values), kind="stable")[:k]] = True
     return mask
 
 
@@ -61,48 +70,38 @@ def optimize_ga(g: Graph, k: int, scale: PayoffScale,
                 cfg: GAConfig = GAConfig()):
     """Best deployment found by the GA.
 
+    Each generation keeps the elite, breeds all children at once
+    (tournament selection, uniform crossover, bit-flip mutation, then
+    :func:`fix_k`) and scores the population in one kernel call.
+
     Returns ``(deployment, objective, history)`` where history holds the
     per-generation best fitness (nondecreasing thanks to elitism).
     """
-    if not 1 <= k < g.n:
-        raise ValueError("K must satisfy 1 <= K < V")
+    _check_k(g, k)
     rng = np.random.default_rng(cfg.seed)
     adj = adjacency_matrix(g)
-    mutation_rate = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / g.n
+    n, size = g.n, cfg.population_size
+    mutation_rate = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / n
+    n_children = size - cfg.elitism_count
 
-    def fitness(mask):
-        return objective_from_mask(adj, mask, scale)
-
-    degrees = [g.degree(u) for u in range(g.n)]
-    population = [_top_k_mask(degrees, k, g.n),
-                  _top_k_mask(betweenness(g), k, g.n)]
-    while len(population) < cfg.population_size:
-        mask = np.zeros(g.n, dtype=bool)
-        mask[rng.choice(g.n, size=k, replace=False)] = True
-        population.append(mask)
-    population = population[:cfg.population_size]
-    scores = np.array([fitness(m) for m in population])
-
-    def tournament():
-        picks = rng.integers(0, cfg.population_size, size=cfg.tournament_size)
-        return population[picks[np.argmax(scores[picks])]]
+    seeded = np.array([_top_k_mask(g.degrees, k),
+                       _top_k_mask(betweenness(g), k)])
+    population = np.concatenate(
+        [seeded, fix_k(np.zeros((size - len(seeded), n), dtype=bool), k, rng)])
+    scores = objective_from_mask(adj, population, scale)
 
     history = []
     for _ in range(cfg.generations):
-        order = np.argsort(-scores, kind="stable")
-        next_pop = [population[i].copy() for i in order[:cfg.elitism_count]]
-        while len(next_pop) < cfg.population_size:
-            parent_a, parent_b = tournament(), tournament()
-            if rng.random() < cfg.crossover_rate:
-                take_b = rng.random(g.n) < 0.5
-                child = np.where(take_b, parent_b, parent_a)
-            else:
-                child = parent_a.copy()
-            flips = rng.random(g.n) < mutation_rate
-            child = child ^ flips
-            next_pop.append(_repair(child, k, rng))
-        population = next_pop
-        scores = np.array([fitness(m) for m in population])
+        elite = population[np.argsort(-scores, kind="stable")[:cfg.elitism_count]]
+        picks = rng.integers(0, size, size=(2, n_children, cfg.tournament_size))
+        won = np.argmax(scores[picks], axis=2)[..., None]
+        parent_a, parent_b = population[np.take_along_axis(picks, won, 2)[..., 0]]
+        crossed = rng.random(n_children) < cfg.crossover_rate
+        take_b = (rng.random((n_children, n)) < 0.5) & crossed[:, None]
+        children = np.where(take_b, parent_b, parent_a)
+        children ^= rng.random((n_children, n)) < mutation_rate
+        population = np.concatenate([elite, fix_k(children, k, rng)])
+        scores = objective_from_mask(adj, population, scale)
         history.append(float(scores.max()))
 
     best = int(np.argmax(scores))
@@ -113,25 +112,36 @@ def optimize_ga(g: Graph, k: int, scale: PayoffScale,
 
 def optimize_exhaustive(g: Graph, k: int, scale: PayoffScale,
                         cap: int = 2_000_000):
-    """Exact optimum by enumeration; ties go to the lexicographically
-    smallest ZD set. Refuses when C(V, K) exceeds ``cap``."""
-    if not 1 <= k <= g.n:
-        raise ValueError("K must satisfy 1 <= K <= V")
+    """Exact optimum by enumeration in lexicographic order; a subset
+    replaces the best only when it beats it by more than 1e-12 relative, so
+    ties go to the lexicographically smallest ZD set. Refuses when C(V, K)
+    exceeds ``cap``."""
+    _check_k(g, k)
     total = math.comb(g.n, k)
     if total > cap:
         raise ExhaustiveCapError(
             f"{total} candidate subsets exceed the cap of {cap}"
         )
     adj = adjacency_matrix(g)
-    best_set, best_score = None, -math.inf
-    mask = np.zeros(g.n, dtype=bool)
-    for subset in combinations(range(g.n), k):
-        mask[:] = False
-        mask[list(subset)] = True
-        score = objective_from_mask(adj, mask, scale)
-        # near-equal scores count as ties so rounding noise cannot steal
-        # the win from the lexicographically first subset
-        if best_set is None or score > best_score + 1e-12 * max(1.0, abs(best_score)):
-            best_set, best_score = subset, score
+    rows = max(1, EXHAUSTIVE_BLOCK // g.n)
+    subsets = combinations(range(g.n), k)
+    best_set, best_score, seen_max = None, -math.inf, -math.inf
+    while (block := np.array(list(islice(subsets, rows)),
+                             dtype=np.intp)).size:
+        masks = np.zeros((len(block), g.n), dtype=bool)
+        np.put_along_axis(masks, block, True, axis=1)
+        scores = objective_from_mask(adj, masks, scale)
+        # objectives are nonnegative, so the tie margin grows with the best
+        # and only a strict running maximum can replace it: step through
+        # those records with the sequential rule
+        running = np.maximum.accumulate(np.maximum(scores, seen_max))
+        before = np.concatenate(([seen_max], running[:-1]))
+        for i in np.flatnonzero(scores > before):
+            score = float(scores[i])
+            # near-equal scores count as ties so rounding noise cannot
+            # steal the win from the lexicographically first subset
+            if best_set is None or score > best_score + 1e-12 * max(1.0, abs(best_score)):
+                best_set, best_score = block[i].tolist(), score
+        seen_max = running[-1]
     dep = Deployment(g, frozenset(best_set), scale)
     return dep, best_score

@@ -228,6 +228,7 @@ class TestMain:
         {"repetitions": "2"},
         {"seed": None},
         {"output": 7},
+        {"ga": {"generations": -5}},
     ])
     def test_mistyped_config_exit_code(self, tmp_path, capsys, patch):
         cfg_path = tmp_path / "cfg.json"
@@ -235,6 +236,49 @@ class TestMain:
         assert main(["sweep", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("doc", [
+        [],
+        "leaders",
+        {"leaders": {}},
+        {"followers": 3},
+        {"leaders": [[]]},
+        {"leaders": [{"x": 0.5}]},
+        {"leaders": [{"{}": 0.5}]},
+        {"leaders": [{"[0, 0, 0]": True}]},
+        {"leaders": [{"[0, 0, 0]": "0.5"}]},
+        {"followers": [0.5]},
+        {"followers": [[0.5, False]]},
+        {"followers": [[0.5, None, 0.5]]},
+    ])
+    def test_bad_outsider_file_exit_code(self, tmp_path, capsys, doc):
+        path = tmp_path / "outsiders.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["verify", "--players", "3", "--alliance", "2", "--r", "9",
+                   "--l", "5", "--outsider-file", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_outsider_file(self, tmp_path, capsys):
+        path = tmp_path / "outsiders.json"
+        path.write_text(json.dumps({"followers": [[0.2, 0.5, 0.9]]}))
+        assert main(["verify", "--players", "3", "--alliance", "2", "--r", "9",
+                     "--l", "5", "--outsider-file", str(path)]) == 0
+        residual = float(capsys.readouterr().out.split()[-1])
+        assert residual <= 1e-8
+
+    def test_exhaustive_k_equal_v_exit_code(self, tmp_path, capsys):
+        gpath = str(tmp_path / "ring6.txt")
+        assert main(["topo", "--type", "ring", "--n", "6",
+                     "--out", gpath]) == 0
+        capsys.readouterr()
+        assert main(["opt", "--graph", gpath, "--K", "6",
+                     "--exhaustive"]) == 2
+        err = capsys.readouterr().err
+        assert "1 <= K < V" in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     def test_sweep_command(self, tmp_path, capsys):

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zdlab.field import (Deployment, adjacency_matrix, coop_probability,
                          cooperator_ratio, evaluate, node_delta,
                          objective_from_mask)
 from zdlab.game import PayoffScale
-from zdlab.graphs import Graph, generate
+from zdlab.graphs import (TOPOLOGIES, Graph, TraceRecord, generate,
+                          ingest_trace)
 
 SCALE = PayoffScale(2, 1, 3)  # r(n) = 2n + 3
 
@@ -93,23 +96,66 @@ class TestRatios:
             cooperator_ratio(dep, "monte_carlo", rounds=0)
 
 
+def _population(g, rows):
+    masks = np.zeros((len(rows), g.n), dtype=bool)
+    for mask, nodes in zip(masks, rows):
+        mask[list(nodes)] = True
+    return masks
+
+
+@st.composite
+def graphs_with_populations(draw):
+    """A graph of any topology, or one with isolated nodes, and 1-8
+    K-subsets of its nodes with 1 <= K < V."""
+    kind = draw(st.sampled_from(TOPOLOGIES + ("gaps", "trace")), "kind")
+    if kind == "gaps":
+        n = draw(st.integers(2, 16), "n")
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges = draw(st.lists(pairs.filter(lambda e: e[0] != e[1]),
+                              max_size=2 * n), "edges")
+        g = Graph(n, edges)
+    elif kind == "trace":
+        labels = st.sampled_from("abcdefghij")
+        contacts = draw(st.lists(st.tuples(labels, labels).filter(
+            lambda c: c[0] != c[1]), min_size=1, max_size=30), "contacts")
+        g = ingest_trace([TraceRecord(a, b) for a, b in contacts],
+                         min_contacts=2)
+    else:
+        n = draw(st.integers(3, 30), "n")
+        g = generate(kind, n, seed=draw(st.integers(0, 50), "seed"),
+                     mesh_density=draw(st.sampled_from([None, 0.1, 0.5])))
+    k = draw(st.integers(1, g.n - 1), "K")
+    rows = draw(st.lists(st.permutations(range(g.n)).map(lambda p: p[:k]),
+                         min_size=1, max_size=8), "rows")
+    return g, rows
+
+
 class TestMaskObjective:
     def test_matches_evaluate_on_random_deployments(self):
         rng = np.random.default_rng(8)
         for seed in range(4):
             g = generate("mesh", 15, seed=seed)
             adj = adjacency_matrix(g)
-            for _ in range(10):
-                k = int(rng.integers(1, 8))
-                nodes = rng.choice(15, size=k, replace=False)
-                mask = np.zeros(15, dtype=bool)
-                mask[nodes] = True
+            rows = [rng.choice(15, size=int(rng.integers(1, 8)), replace=False)
+                    for _ in range(10)]
+            scores = objective_from_mask(adj, _population(g, rows), SCALE)
+            for score, nodes in zip(scores, rows):
                 dep = Deployment(g, frozenset(nodes.tolist()), SCALE)
-                assert objective_from_mask(adj, mask, SCALE) == pytest.approx(
-                    evaluate(dep).objective)
+                assert score == pytest.approx(evaluate(dep).objective)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=graphs_with_populations())
+    def test_population_kernel_matches_evaluate(self, case):
+        g, rows = case
+        scores = objective_from_mask(adjacency_matrix(g), _population(g, rows),
+                                     SCALE)
+        assert scores.shape == (len(rows),)
+        for score, nodes in zip(scores, rows):
+            exact = evaluate(Deployment(g, frozenset(nodes), SCALE)).objective
+            assert abs(score - exact) <= 1e-9
 
     def test_adjacency_matrix(self):
-        adj = adjacency_matrix(Graph.from_edges(3, [(0, 1)]))
+        adj = adjacency_matrix(Graph(3, [(0, 1)]))
         assert adj.tolist() == [[False, True, False],
                                 [True, False, False],
                                 [False, False, False]]

@@ -1,6 +1,8 @@
+import hashlib
 import math
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from zdlab.errors import TraceParseError
@@ -44,7 +46,7 @@ def brute_betweenness(g):
 
 class TestGraph:
     def test_basic_operations(self):
-        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         assert g.has_edge(1, 0)
         assert not g.has_edge(0, 2)
         assert g.degree(1) == 2
@@ -52,17 +54,35 @@ class TestGraph:
         assert g.edges() == [(0, 1), (1, 2), (2, 3)]
 
     def test_duplicate_edges_collapse(self):
-        g = Graph(3)
-        g.add_edge(0, 1)
-        g.add_edge(1, 0)
+        g = Graph(3, [(0, 1), (1, 0)])
         assert g.edge_count == 1
 
     def test_rejects_self_loop_and_bad_ids(self):
-        g = Graph(3)
         with pytest.raises(ValueError):
-            g.add_edge(1, 1)
+            Graph(3, [(1, 1)])
         with pytest.raises(ValueError):
-            g.add_edge(0, 3)
+            Graph(3, [(0, 3)])
+        with pytest.raises(ValueError):
+            Graph(3, [(-1, 0)])
+        with pytest.raises(ValueError):
+            Graph(3, [(0, 1, 2)])
+
+    def test_immutable_sorted_csr(self):
+        g = Graph(5, [(3, 0), (0, 1), (4, 0), (2, 1)])
+        assert g.indptr.dtype == g.indices.dtype == np.int32
+        assert g.indptr.tolist() == [0, 3, 5, 6, 7, 8]
+        assert g.indices.tolist() == [1, 3, 4, 0, 2, 1, 0, 0]
+        assert g.neighbors(0) == [1, 3, 4]
+        assert g.degrees.tolist() == [3, 2, 1, 1, 1]
+        with pytest.raises(AttributeError):
+            g.n = 6
+        with pytest.raises(ValueError):
+            g.indices[0] = 2
+
+    def test_isolated_nodes(self):
+        g = Graph(4, [])
+        assert g.edge_count == 0 and g.edges() == []
+        assert [g.degree(u) for u in range(4)] == [0, 0, 0, 0]
 
     def test_round_trip(self, tmp_path):
         g = generate("mesh", 12, seed=3)
@@ -78,7 +98,35 @@ class TestGraph:
             Graph.read(path)
 
 
+# sha256 prefixes of ``generate(...).edges()`` as "u,v;u,v;..."; they pin
+# the generators' random streams and repair order
+GOLDEN_EDGES = {
+    ("star", 2, 0, None): "83b97b859aa5f81b",
+    ("star", 7, 0, None): "bed413cb1ea346e1",
+    ("star", 80, 0, None): "ca36818a6fe5b019",
+    ("ring", 3, 0, None): "098d554d0433295a",
+    ("ring", 10, 0, None): "0b6302b80f4538de",
+    ("ring", 80, 0, None): "bbee85cc00865eba",
+    ("tree", 2, 0, None): "83b97b859aa5f81b",
+    ("tree", 9, 0, None): "4df92164ec9bca21",
+    ("tree", 80, 0, None): "7a13001eef0f46af",
+    ("mesh", 12, 0, None): "6793d9fb7dd57bb3",
+    ("mesh", 30, 5, None): "16c047647f5ef8c0",
+    ("mesh", 80, 1, 0.49): "3014bb8559280337",
+    ("mesh", 40, 3, 0.1): "0d1f96cabacd03b0",
+    ("mesh", 20, 7, 0.3): "de40ddd38e54b2a3",
+    ("mesh", 60, 2, 0.9): "4e8822fbd268285f",
+    ("mesh", 5, 11, 0.05): "a27efea6fe4c3cc9",
+}
+
+
 class TestGenerate:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_EDGES, key=str))
+    def test_golden_edges(self, case):
+        text = ";".join(f"{u},{v}" for u, v in generate(*case).edges())
+        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert digest == GOLDEN_EDGES[case]
+
     def test_star(self):
         g = generate("star", 6)
         assert g.degree(0) == 5
@@ -170,13 +218,13 @@ class TestMetrics:
             assert all(s == 0.0 for s in scores[1:])
 
     def test_path_graph(self):
-        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         assert betweenness(g) == pytest.approx([0.0, 2.0, 2.0, 0.0])
 
     def test_matches_brute_force_oracle(self):
         cases = [generate("ring", 7), generate("tree", 9),
                  generate("mesh", 9, seed=2), generate("mesh", 10, seed=4),
-                 Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])]
+                 Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])]
         for g in cases:
             assert betweenness(g) == pytest.approx(brute_betweenness(g))
 
@@ -184,7 +232,7 @@ class TestMetrics:
         g = generate("mesh", 8, seed=9)
         base = betweenness(g)
         perm = [3, 1, 4, 0, 6, 2, 7, 5]
-        h = Graph.from_edges(8, [(perm[u], perm[v]) for u, v in g.edges()])
+        h = Graph(8, [(perm[u], perm[v]) for u, v in g.edges()])
         relabeled = betweenness(h)
         for u in range(8):
             assert relabeled[perm[u]] == pytest.approx(base[u])
