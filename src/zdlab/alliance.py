@@ -18,7 +18,7 @@ from .game import (COOPERATE, DEFECT, GameShape, PayoffVectors,
                    alliance_unison_payoff, outsider_unison_payoff,
                    payoff_vectors)
 from .markov import (FollowerStrategy, LeaderStrategy, build_transition_matrix,
-                     expected_payoffs, stationary)
+                     expected_payoffs, leader_table_shape, stationary)
 
 _F_ZERO = 1e-15
 
@@ -165,25 +165,24 @@ def synthesize(params: ZDParams, payoffs: PayoffVectors | None = None) -> Synthe
 
 def _alliance_strategy(shape, f_table, phi):
     nl, na, n = shape.n_leaders, shape.n_alliance, shape.n_players
-    probs = {}
-    for s in (1, 0):
-        for x in range(nl):
-            for y in range(shape.n_followers + 1):
-                if s == COOPERATE and x >= na - 1:
-                    b = na + (x - (na - 1)) + y
-                    p = phi * f_table[(COOPERATE, b)] + 1.0
-                elif s == DEFECT and x <= nl - na:
-                    b = x + y
-                    p = phi * f_table[(DEFECT, b)]
-                else:
-                    p = 0.0  # only reachable when the alliance splits
-                if not -1e-9 <= p <= 1.0 + 1e-9:
-                    raise InfeasibleError(
-                        f"strategy entry {p} for index ({s}, {x}, {y}) "
-                        "escapes [0, 1]"
-                    )
-                probs[(s, x, y)] = min(max(p, 0.0), 1.0)
-    return LeaderStrategy(0, probs)
+    s, x, y = np.indices(leader_table_shape(shape))
+    # unison outcome (s, b) behind each index; other indices are reachable
+    # only when the alliance splits and get probability 0
+    unison = np.where(s == COOPERATE, x >= na - 1, x <= nl - na)
+    f = np.zeros((2, n + 1))
+    for (a, b), fv in f_table.items():
+        f[a, b] = fv
+    step = phi * f[s, x + y + s]
+    p = np.where(unison, np.where(s == COOPERATE, step + 1.0, step), 0.0)
+    escaped = ~((p >= -1e-9) & (p <= 1.0 + 1e-9))
+    if escaped.any():
+        # report the first escape in cooperate-first order
+        s0, x0, y0 = np.argwhere(escaped[::-1])[0]
+        raise InfeasibleError(
+            f"strategy entry {float(p[1 - s0, x0, y0])} for index "
+            f"({1 - s0}, {x0}, {y0}) escapes [0, 1]"
+        )
+    return LeaderStrategy(0, np.clip(p, 0.0, 1.0))
 
 
 def _default_outsiders(shape):

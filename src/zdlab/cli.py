@@ -24,7 +24,7 @@ from .errors import (ConfigError, ConvergenceError, DegenerateChainError,
                      InfeasibleError, ZdlabError)
 from .field import Deployment, cooperator_ratio, evaluate
 from .game import GameShape, PayoffScale
-from .markov import FollowerStrategy, LeaderStrategy
+from .markov import FollowerStrategy, LeaderStrategy, leader_table_shape
 from .optimize import GAConfig, optimize_exhaustive, optimize_ga
 
 CSV_VERSION = "# zdlab-v1"
@@ -274,19 +274,31 @@ def _shape_from_args(args) -> GameShape:
     return GameShape(args.players, n_leaders, args.alliance, args.r)
 
 
-def _leader_table(table, where):
-    """Tuple-keyed probabilities from a JSON object keyed by JSON arrays."""
+def _leader_table(table, shape, where):
+    """(2, n_leaders, n_followers + 1) probabilities from a JSON object keyed
+    by "[s, x, y]" arrays; every index must appear exactly once."""
     if not isinstance(table, dict):
         raise ConfigError(f"{where} must be an object")
-    probs = {}
+    dims = leader_table_shape(shape)
+    probs = np.zeros(dims)
+    seen = np.zeros(dims, dtype=int)
     for key in table:
         try:
             index = json.loads(key)
         except json.JSONDecodeError:
             index = None
-        if not isinstance(index, list):
-            raise ConfigError(f"{where} key {key!r} is not a JSON array")
+        if not (isinstance(index, list) and len(index) == 3
+                and all(_is_a(i, _INT) and 0 <= i < d
+                        for i, d in zip(index, dims))):
+            raise ConfigError(
+                f"{where} key {key!r} is not an index [s, x, y] with "
+                f"s < 2, x < {dims[1]}, y < {dims[2]}")
         probs[tuple(index)] = _typed(table, key, _NUM, where)
+        seen[tuple(index)] += 1
+    if (seen != 1).any():
+        index = np.argwhere(seen != 1)[0]
+        raise ConfigError(f"{where} index {index.tolist()} appears "
+                          f"{seen[tuple(index)]} times, not once")
     return probs
 
 
@@ -301,16 +313,26 @@ def _outsiders_from_args(shape, args):
         if not isinstance(doc, dict):
             raise ConfigError("outsider file root must be a JSON object")
         _require_keys(doc, ("leaders", "followers"), "outsider file")
+        leader_docs = _typed(doc, "leaders", _LIST, "outsider file", [])
+        follower_docs = _typed(doc, "followers", _LIST, "outsider file", [])
+        n_out_leaders = shape.n_leaders - shape.n_alliance
+        if (len(leader_docs), len(follower_docs)) != (n_out_leaders,
+                                                      shape.n_followers):
+            raise ConfigError(
+                f"outsider file needs {n_out_leaders} leader table(s) and "
+                f"{shape.n_followers} follower list(s), not "
+                f"{len(leader_docs)} and {len(follower_docs)}")
         leaders = [LeaderStrategy(shape.n_alliance + offset,
-                                  _leader_table(table, f"leaders[{offset}]"))
-                   for offset, table in enumerate(
-                       _typed(doc, "leaders", _LIST, "outsider file", []))]
+                                  _leader_table(table, shape,
+                                                f"leaders[{offset}]"))
+                   for offset, table in enumerate(leader_docs)]
         followers = []
-        for j, probs in enumerate(
-                _typed(doc, "followers", _LIST, "outsider file", [])):
-            if not _is_a(probs, _LIST) or not all(_is_a(p, _NUM) for p in probs):
-                raise ConfigError(f"followers[{j}] must be a list of numbers")
-            followers.append(FollowerStrategy(shape.n_leaders + j, tuple(probs)))
+        for j, probs in enumerate(follower_docs):
+            if (not _is_a(probs, _LIST) or len(probs) != shape.n_leaders + 1
+                    or not all(_is_a(p, _NUM) for p in probs)):
+                raise ConfigError(f"followers[{j}] must be a list of "
+                                  f"{shape.n_leaders + 1} numbers")
+            followers.append(FollowerStrategy(shape.n_leaders + j, probs))
         return leaders + followers
     rng = np.random.default_rng(args.outsider_seed)
     return zd.random_outsiders(shape, rng)
@@ -349,14 +371,14 @@ def cmd_synth(args):
     shape = _shape_from_args(args)
     params = zd.ZDParams(args.chi, args.l, shape, args.phi)
     result = zd.synthesize(params)
+    table = result.strategy.table
     report = {
         "f": {f"{'c' if s else 'd'},{b}": fv
               for (s, b), fv in sorted(result.f_unison.items(), reverse=True)},
         "phi_interval": list(result.phi_interval),
         "phi": result.phi,
-        "strategy": {f"{'c' if s else 'd'},{x},{y}": p
-                     for (s, x, y), p in sorted(result.strategy.probs.items(),
-                                                reverse=True)},
+        "strategy": {f"{'c' if s else 'd'},{x},{y}": float(table[s, x, y])
+                     for s, x, y in reversed(list(np.ndindex(table.shape)))},
         "residual": result.certificate,
     }
     print(json.dumps(report, indent=2))

@@ -30,7 +30,7 @@ class DegenerateChainError(ZdlabError):
 
 
 class StrategyTableError(ZdlabError):
-    """A strategy table is missing an index or holds an invalid probability."""
+    """A strategy table does not fit the game or holds an invalid probability."""
 
 
 class TraceParseError(ZdlabError):

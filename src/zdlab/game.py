@@ -85,19 +85,17 @@ def state_actions(state: int, n_players: int) -> tuple[int, ...]:
     return tuple((state >> i) & 1 for i in range(n_players))
 
 
+@functools.lru_cache(maxsize=None)
+def state_bits(n_players: int) -> np.ndarray:
+    """Read-only (2^n, n) table of every state's actions: row ``state`` is
+    ``state_actions(state, n_players)``."""
+    bits = (np.arange(1 << n_players)[:, None] >> np.arange(n_players)) & 1
+    bits.flags.writeable = False
+    return bits
+
+
 def cooperator_count(state: int) -> int:
     return state.bit_count()
-
-
-def alliance_action(state: int, shape: GameShape):
-    """Unison action of the alliance in ``state``: 1, 0, or None if split."""
-    mask = (1 << shape.n_alliance) - 1
-    part = state & mask
-    if part == mask:
-        return COOPERATE
-    if part == 0:
-        return DEFECT
-    return None
 
 
 def utility(action: int, coop_neighbors: int, neighbor_count: int, r: float) -> float:
@@ -173,16 +171,18 @@ def payoff_vectors(shape: GameShape) -> PayoffVectors:
     the closed forms above; split states use the same per-group averages of
     the individual payoffs.
     """
-    n = shape.n_players
-    na = shape.n_alliance
-    g_all = np.empty(shape.n_states)
-    g_out = np.empty(shape.n_states)
-    for state in range(shape.n_states):
-        acts = state_actions(state, n)
-        b = cooperator_count(state)
-        pays = [utility(a, b - a, n - 1, shape.r) for a in acts]
-        g_all[state] = sum(pays[:na]) / na
-        g_out[state] = sum(pays[na:]) / (n - na)
-    g_all.flags.writeable = False
-    g_out.flags.writeable = False
-    return PayoffVectors(g_all, g_out, shape)
+    n, na = shape.n_players, shape.n_alliance
+    bits = state_bits(n)
+    # utility(a, b - a, n - 1, r) of every player in every state
+    pays = shape.r * bits.sum(axis=1)[:, None] / n + (1 - bits)
+
+    def group_mean(players):
+        acc = np.zeros(shape.n_states)
+        for i in players:
+            acc += pays[:, i]
+        acc /= len(players)
+        acc.flags.writeable = False
+        return acc
+
+    return PayoffVectors(group_mean(range(na)), group_mean(range(na, n)),
+                         shape)

@@ -7,13 +7,12 @@ chain lives on all 2^N action profiles.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateChainError, StrategyTableError
-from .game import GameShape, PayoffVectors
+from .game import GameShape, PayoffVectors, state_bits
 
 MAX_PLAYERS = 10
 MAX_DETERMINANT_PLAYERS = 8
@@ -25,82 +24,70 @@ _TOL = 1e-12
 _MAX_ITERS = 1_000_000
 
 
-@dataclass(frozen=True)
+def leader_table_shape(shape: GameShape):
+    """Shape of a leader's table: (own_prev_action, coop_other_leaders,
+    coop_followers)."""
+    return (2, shape.n_leaders, shape.n_followers + 1)
+
+
+def _probabilities(values, what, owner):
+    """``values`` as a read-only float array, checked to lie in [0, 1]."""
+    table = np.array(values, dtype=float)
+    if not ((table >= 0.0) & (table <= 1.0)).all():
+        raise StrategyTableError(
+            f"{what} {owner} has a probability outside [0, 1]"
+        )
+    table.flags.writeable = False
+    return table
+
+
+@dataclass(frozen=True, eq=False)
 class LeaderStrategy:
     """Memory-one strategy of a leader.
 
-    ``probs`` maps ``(own_prev_action, coop_other_leaders, coop_followers)``
-    to a cooperation probability. The table must cover every index that can
-    occur for the game shape it is used with.
+    ``table[own_prev_action, coop_other_leaders, coop_followers]`` is the
+    cooperation probability; its shape is (2, n_leaders, n_followers + 1)
+    for the game it is used with.
     """
 
     owner: int
-    probs: dict = field(hash=False)
-
-    def prob(self, prev_action, coop_other_leaders, coop_followers):
-        try:
-            p = self.probs[(prev_action, coop_other_leaders, coop_followers)]
-        except KeyError:
-            raise StrategyTableError(
-                f"leader {self.owner} has no entry for state "
-                f"({prev_action}, {coop_other_leaders}, {coop_followers})"
-            ) from None
-        if not 0.0 <= p <= 1.0:
-            raise StrategyTableError(
-                f"leader {self.owner} probability {p} outside [0, 1]"
-            )
-        return p
-
-    @classmethod
-    def constant(cls, owner, shape, p):
-        return cls(owner, {key: p for key in leader_index_space(shape)})
-
-    @classmethod
-    def random(cls, owner, shape, rng):
-        return cls(owner, {key: float(rng.uniform(0.0, 1.0))
-                           for key in leader_index_space(shape)})
-
-
-@dataclass(frozen=True)
-class FollowerStrategy:
-    """Strategy of a follower: cooperation probability per number of
-    cooperating leaders in the current round (length n_leaders + 1)."""
-
-    owner: int
-    probs: tuple
+    table: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
-        if any(not 0.0 <= p <= 1.0 for p in self.probs):
-            raise StrategyTableError(
-                f"follower {self.owner} has a probability outside [0, 1]"
-            )
-
-    def prob(self, coop_leaders):
-        try:
-            return self.probs[coop_leaders]
-        except IndexError:
-            raise StrategyTableError(
-                f"follower {self.owner} table too short for {coop_leaders} "
-                "cooperating leaders"
-            ) from None
+        object.__setattr__(self, "table",
+                           _probabilities(self.table, "leader", self.owner))
 
     @classmethod
     def constant(cls, owner, shape, p):
-        return cls(owner, (p,) * (shape.n_leaders + 1))
+        return cls(owner, np.full(leader_table_shape(shape), p))
 
     @classmethod
     def random(cls, owner, shape, rng):
-        return cls(owner, tuple(rng.uniform(0.0, 1.0)
-                                for _ in range(shape.n_leaders + 1)))
+        # the first half of the draws fills the cooperate half (s = 1)
+        draws = rng.uniform(0.0, 1.0, leader_table_shape(shape))
+        return cls(owner, draws[::-1])
 
 
-def leader_index_space(shape: GameShape):
-    """All (prev_action, coop_other_leaders, coop_followers) indices."""
-    for s in (1, 0):
-        for x in range(shape.n_leaders):
-            for y in range(shape.n_followers + 1):
-                yield (s, x, y)
+@dataclass(frozen=True, eq=False)
+class FollowerStrategy:
+    """Strategy of a follower: ``probs[z]`` is its cooperation probability
+    when ``z`` leaders cooperate in the current round (n_leaders + 1
+    entries)."""
+
+    owner: int
+    probs: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "probs",
+                           _probabilities(self.probs, "follower", self.owner))
+
+    @classmethod
+    def constant(cls, owner, shape, p):
+        return cls(owner, np.full(shape.n_leaders + 1, p))
+
+    @classmethod
+    def random(cls, owner, shape, rng):
+        return cls(owner, rng.uniform(0.0, 1.0, shape.n_leaders + 1))
 
 
 @dataclass(frozen=True)
@@ -116,23 +103,6 @@ class StationaryVector:
     residual: float
 
 
-@functools.lru_cache(maxsize=None)
-def _state_bits(n_players):
-    size = 1 << n_players
-    bits = ((np.arange(size)[:, None] >> np.arange(n_players)[None, :]) & 1)
-    bits.flags.writeable = False
-    return bits
-
-
-def _leader_table(strat: LeaderStrategy, shape: GameShape):
-    """``strat.prob`` over the (prev_action, coop_other_leaders,
-    coop_followers) index space, as a (2, n_leaders, n_followers + 1) array."""
-    return np.array([[[strat.prob(s, x, y)
-                       for y in range(shape.n_followers + 1)]
-                      for x in range(shape.n_leaders)]
-                     for s in (0, 1)])
-
-
 def build_transition_matrix(shape: GameShape, leaders, followers,
                             coupling: bool = False) -> TransitionMatrix:
     """One-step transition matrix of the chain.
@@ -145,17 +115,26 @@ def build_transition_matrix(shape: GameShape, leaders, followers,
         raise ValueError(f"state space capped at {MAX_PLAYERS} players")
     if len(leaders) != shape.n_leaders or len(followers) != shape.n_followers:
         raise ValueError("need exactly one strategy per player")
+    dims = leader_table_shape(shape)
+    tables = [(s.owner, s.table, dims) for s in leaders]
+    tables += [(s.owner, s.probs, (shape.n_leaders + 1,)) for s in followers]
+    for owner, table, dims in tables:
+        if table.shape != dims:
+            raise StrategyTableError(
+                f"player {owner} has a table of shape {table.shape}, "
+                f"the game needs {dims}"
+            )
 
     n, nl, na = shape.n_players, shape.n_leaders, shape.n_alliance
     size = shape.n_states
-    bits = _state_bits(n)
+    bits = state_bits(n)
     leader_coops = bits[:, :nl].sum(axis=1)
     follower_coops = bits[:, nl:].sum(axis=1)
 
     # Follower factor depends only on the successor column.
     fol = np.ones(size)
     for j, strat in enumerate(followers):
-        q = np.array([strat.prob(z) for z in range(nl + 1)])[leader_coops]
+        q = strat.probs[leader_coops]
         acted = bits[:, nl + j] == 1
         fol *= np.where(acted, q, 1.0 - q)
 
@@ -165,8 +144,7 @@ def build_transition_matrix(shape: GameShape, leaders, followers,
     cond = np.empty((size, nl))
     for i, strat in enumerate(leaders):
         own = bits[:, i]
-        p = cond[:, i] = _leader_table(strat, shape)[own, leader_coops - own,
-                                                    follower_coops]
+        p = cond[:, i] = strat.table[own, leader_coops - own, follower_coops]
         coin = np.stack([1.0 - p, p], axis=1)
         if coupling and 0 < i < na:
             # a member tied with an earlier member copies its action
@@ -256,7 +234,7 @@ def zd_determinant(tm: TransitionMatrix, f, pivot_leader: int) -> float:
         raise ValueError("payoff vector length must match the state space")
 
     pivot_state = 1 << pivot_leader
-    bits = _state_bits(shape.n_players)
+    bits = state_bits(shape.n_players)
     coop = bits[:, pivot_leader] == 1
     a = tm.matrix - np.eye(shape.n_states)
     a[:, pivot_state] = tm.matrix[:, coop].sum(axis=1) - coop

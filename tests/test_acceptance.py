@@ -20,7 +20,7 @@ from zdlab.game import GameShape, PayoffScale, alliance_unison_payoff
 from zdlab.graphs import betweenness, generate
 from zdlab.markov import (FollowerStrategy, LeaderStrategy,
                           build_transition_matrix, determinant_dot,
-                          leader_index_space, stationary, zd_determinant)
+                          leader_table_shape, stationary, zd_determinant)
 from zdlab.optimize import GAConfig, optimize_exhaustive, optimize_ga
 
 LINEAR = PayoffScale(2, 1, 3)     # r(n) = 2n + 3
@@ -34,11 +34,11 @@ def _report(num, name, ok, detail):
 
 
 def _random_profile(shape, rng):
-    leaders = [LeaderStrategy(i, {key: float(rng.uniform(0.05, 0.95))
-                                  for key in leader_index_space(shape)})
+    # leader tables are drawn cooperate half first
+    dims = leader_table_shape(shape)
+    leaders = [LeaderStrategy(i, rng.uniform(0.05, 0.95, dims)[::-1])
                for i in range(shape.n_leaders)]
-    followers = [FollowerStrategy(j, tuple(rng.uniform(0.05, 0.95)
-                                           for _ in range(shape.n_leaders + 1)))
+    followers = [FollowerStrategy(j, rng.uniform(0.05, 0.95, shape.n_leaders + 1))
                  for j in range(shape.n_leaders, shape.n_players)]
     return leaders, followers
 

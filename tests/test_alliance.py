@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -58,13 +60,14 @@ class TestFeasibleRange:
 class TestSynthesis:
     def test_worked_example_table(self):
         result = synthesize(ZDParams(0.0, 3.0, FIG_SHAPE, phi=1 / 6))
-        probs = result.strategy.probs
-        assert probs[(1, 1, 0)] == pytest.approx(1 / 3)  # unison c, b = 2
-        assert probs[(1, 1, 1)] == pytest.approx(0.0)    # unison c, b = 3
-        assert probs[(0, 0, 0)] == pytest.approx(1 / 3)  # unison d, b = 0
-        assert probs[(0, 0, 1)] == pytest.approx(0.0)    # unison d, b = 1
-        assert probs[(1, 0, 0)] == 0.0                   # split-only index
-        assert probs[(1, 0, 1)] == 0.0
+        table = result.strategy.table
+        assert table.shape == (2, 2, 2)
+        assert table[1, 1, 0] == pytest.approx(1 / 3)  # unison c, b = 2
+        assert table[1, 1, 1] == pytest.approx(0.0)    # unison c, b = 3
+        assert table[0, 0, 0] == pytest.approx(1 / 3)  # unison d, b = 0
+        assert table[0, 0, 1] == pytest.approx(0.0)    # unison d, b = 1
+        assert table[1, 0, 0] == 0.0                   # split-only index
+        assert table[1, 0, 1] == 0.0
 
     def test_phi_interval_upper_bound(self):
         result = synthesize(ZDParams(0.0, 3.0, FIG_SHAPE))
@@ -117,6 +120,29 @@ class TestEnforcement:
         residual = verify_enforcement(result, random_outsiders(FIG_SHAPE, rng),
                                       l=6.0)
         assert residual > 0.1
+
+    @pytest.mark.parametrize("dims, digest", [
+        ((3, 2, 2),
+         "75887f0a119e91fb72dd568e4f6381fb0a0d05ddec0239cf3e81bbc38169c483"),
+        ((5, 4, 2),
+         "aa1635934f3b9885e91681075cd1170bdf828bf1150c95b229e71b9aa32c103d"),
+        ((10, 7, 6),
+         "49e50cdd0c75dcc7c03b5adef907b266376c522e2a7337517386bd7596d8a3e9"),
+    ])
+    def test_random_outsiders_golden(self, dims, digest):
+        # sha256 of two draws of float64 tables, leaders in
+        # [own_prev_action, coop_other_leaders, coop_followers] order
+        shape = GameShape(*dims, 2.0 * dims[0] + 3)
+        rng = np.random.default_rng(2024)
+        n_out_leaders = shape.n_leaders - shape.n_alliance
+        h = hashlib.sha256()
+        for _ in range(2):
+            outsiders = random_outsiders(shape, rng)
+            for strat in outsiders[:n_out_leaders]:
+                h.update(strat.table.tobytes())
+            for strat in outsiders[n_out_leaders:]:
+                h.update(strat.probs.tobytes())
+        assert h.hexdigest() == digest
 
     def test_outsider_count_checked(self):
         result = synthesize(ZDParams(0.0, 4.0, FIG_SHAPE))

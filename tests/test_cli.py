@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import statistics
@@ -26,6 +27,11 @@ def base_config(tmp_path=None, **overrides):
     }
     doc.update(overrides)
     return doc
+
+
+# every [s, x, y] index of a leader in a (4 players, 3 leaders) game
+FULL_TABLE = {f"[{s}, {x}, {y}]": 0.5
+              for s in (0, 1) for x in range(3) for y in range(2)}
 
 
 class TestLoadConfig:
@@ -172,6 +178,22 @@ class TestMain:
         assert rc == 0
         assert "residual" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, digest", [
+        (["--players", "3", "--alliance", "2", "--r", "9", "--chi", "0",
+          "--l", "5"],
+         "9d47352772646a827a9c005f87f139f44fff0e22c2eee6a8a0e59a36a4bf2ccb"),
+        (["--players", "5", "--leaders", "4", "--alliance", "3", "--r", "13",
+          "--chi", "0.3", "--l", "6"],
+         "45df43ff1144839fc70bae952fa7f1d176cbf33d45fa890860158244a4560700"),
+        (["--players", "8", "--leaders", "7", "--alliance", "6", "--r", "19",
+          "--chi", "0.6", "--l", "8"],
+         "ac434cdb7fb35336d6679a62b318d3c47cb50b2edc33c79a64e4f1882dc98a98"),
+    ])
+    def test_synth_output_golden(self, capsys, argv, digest):
+        assert main(["synth", *argv]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_exit_codes(self, tmp_path, capsys):
         # infeasible baseline -> 3
         rc = main(["synth", "--players", "3", "--alliance", "2", "--r", "9",
@@ -261,6 +283,48 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("doc", [
+        {"leaders": [dict(FULL_TABLE, **{"[5, 5, 5]": 0.5})],
+         "followers": [[0.5] * 4]},
+        {"leaders": [dict(FULL_TABLE, **{'["a", 0]': 0.5})],
+         "followers": [[0.5] * 4]},
+        {"leaders": [dict(FULL_TABLE, **{"[0, 0]": 0.5})],
+         "followers": [[0.5] * 4]},
+        {"leaders": [dict(FULL_TABLE, **{"[true, 0, 0]": 0.5})],
+         "followers": [[0.5] * 4]},
+        {"leaders": [dict(FULL_TABLE, **{"[0, 0, 1.0]": 0.5})],
+         "followers": [[0.5] * 4]},
+        {"leaders": [dict(FULL_TABLE, **{"[0,0,0]": 0.5})],
+         "followers": [[0.5] * 4]},
+        {"leaders": [{k: v for k, v in FULL_TABLE.items() if k != "[1, 2, 1]"}],
+         "followers": [[0.5] * 4]},
+        {"leaders": [FULL_TABLE], "followers": [[0.5] * 6]},
+        {"leaders": [FULL_TABLE], "followers": [[0.5] * 3]},
+        {"leaders": [FULL_TABLE], "followers": [[0.5] * 4, [0.5] * 4]},
+        {"followers": [[0.5] * 4, [0.5] * 4]},
+        {"leaders": [FULL_TABLE, FULL_TABLE]},
+    ])
+    def test_extra_outsider_entries_rejected(self, tmp_path, capsys, doc):
+        path = tmp_path / "outsiders.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["verify", "--players", "4", "--leaders", "3",
+                   "--alliance", "2", "--r", "11", "--l", "6",
+                   "--outsider-file", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_outsider_file_with_leader_table(self, tmp_path, capsys):
+        path = tmp_path / "outsiders.json"
+        path.write_text(json.dumps({"leaders": [FULL_TABLE],
+                                    "followers": [[0.2, 0.4, 0.6, 0.8]]}))
+        assert main(["verify", "--players", "4", "--leaders", "3",
+                     "--alliance", "2", "--r", "11", "--l", "6",
+                     "--outsider-file", str(path)]) == 0
+        residual = float(capsys.readouterr().out.split()[-1])
+        assert residual <= 1e-8
 
     def test_outsider_file(self, tmp_path, capsys):
         path = tmp_path / "outsiders.json"

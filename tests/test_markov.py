@@ -8,7 +8,8 @@ from zdlab.errors import DegenerateChainError, StrategyTableError
 from zdlab.game import GameShape, payoff_vectors, state_actions
 from zdlab.markov import (FollowerStrategy, LeaderStrategy,
                           build_transition_matrix, determinant_dot,
-                          expected_payoffs, stationary, zd_determinant)
+                          expected_payoffs, leader_table_shape, stationary,
+                          zd_determinant)
 
 FIG_SHAPE = GameShape(3, 2, 2, 9.0)
 
@@ -18,22 +19,13 @@ def state_of(actions):
 
 
 def random_profile(shape, rng, low=0.05, high=0.95):
-    leaders = [
-        LeaderStrategy(i, {key: float(rng.uniform(low, high))
-                           for key in _index_space(shape)})
-        for i in range(shape.n_leaders)
-    ]
-    followers = [
-        FollowerStrategy(j, tuple(rng.uniform(low, high)
-                                  for _ in range(shape.n_leaders + 1)))
-        for j in range(shape.n_leaders, shape.n_players)
-    ]
+    # leader tables are drawn cooperate half first
+    dims = leader_table_shape(shape)
+    leaders = [LeaderStrategy(i, rng.uniform(low, high, dims)[::-1])
+               for i in range(shape.n_leaders)]
+    followers = [FollowerStrategy(j, rng.uniform(low, high, shape.n_leaders + 1))
+                 for j in range(shape.n_leaders, shape.n_players)]
     return leaders, followers
-
-
-def _index_space(shape):
-    from zdlab.markov import leader_index_space
-    return leader_index_space(shape)
 
 
 class TestBuildMatrix:
@@ -50,9 +42,9 @@ class TestBuildMatrix:
         tm = build_transition_matrix(FIG_SHAPE, leaders, followers)
         v = state_of((1, 0, 1))
         w = state_of((0, 0, 1))
-        expected = ((1 - leaders[0].prob(1, 0, 1))
-                    * (1 - leaders[1].prob(0, 1, 1))
-                    * followers[0].prob(0))
+        expected = ((1 - leaders[0].table[1, 0, 1])
+                    * (1 - leaders[1].table[0, 1, 1])
+                    * followers[0].probs[0])
         assert tm.matrix[v, w] == pytest.approx(expected)
 
     @pytest.mark.parametrize("coupling", [False, True])
@@ -61,7 +53,7 @@ class TestBuildMatrix:
         rng = np.random.default_rng(seed)
         leaders, followers = random_profile(FIG_SHAPE, rng, 0.0, 1.0)
         if coupling:  # identical alliance strategies
-            leaders[1] = LeaderStrategy(1, dict(leaders[0].probs))
+            leaders[1] = LeaderStrategy(1, leaders[0].table)
         tm = build_transition_matrix(FIG_SHAPE, leaders, followers, coupling)
         assert np.allclose(tm.matrix.sum(axis=1), 1.0, atol=1e-12)
         assert tm.matrix.min() >= 0.0 and tm.matrix.max() <= 1.0
@@ -69,7 +61,7 @@ class TestBuildMatrix:
     def test_coupling_zeroes_split_columns(self):
         rng = np.random.default_rng(5)
         leaders, followers = random_profile(FIG_SHAPE, rng)
-        leaders[1] = LeaderStrategy(1, dict(leaders[0].probs))
+        leaders[1] = LeaderStrategy(1, leaders[0].table)
         tm = build_transition_matrix(FIG_SHAPE, leaders, followers, True)
         for v in range(8):
             acts_v = state_actions(v, 3)
@@ -80,11 +72,33 @@ class TestBuildMatrix:
                 if acts_w[0] != acts_w[1]:
                     assert tm.matrix[v, w] == 0.0
 
-    def test_missing_strategy_entry(self):
-        leaders = [LeaderStrategy(i, {(1, 0, 0): 0.5}) for i in range(2)]
+    def test_wrong_table_shape(self):
+        leaders = [LeaderStrategy.constant(i, FIG_SHAPE, 0.5) for i in range(2)]
         followers = [FollowerStrategy.constant(2, FIG_SHAPE, 0.5)]
-        with pytest.raises(StrategyTableError):
-            build_transition_matrix(FIG_SHAPE, leaders, followers)
+        short = [LeaderStrategy(i, np.full((2, 2, 1), 0.5)) for i in range(2)]
+        with pytest.raises(StrategyTableError, match="player 0"):
+            build_transition_matrix(FIG_SHAPE, short, followers)
+        for probs in ([0.5, 0.5], [0.5] * 4):  # too short, too long
+            with pytest.raises(StrategyTableError, match="player 2"):
+                build_transition_matrix(FIG_SHAPE, leaders,
+                                        [FollowerStrategy(2, probs)])
+
+    def test_invalid_probability_rejected_on_construction(self):
+        table = np.full(leader_table_shape(FIG_SHAPE), 0.5)
+        for bad in (np.nan, -0.1, 1.5):
+            table[1, 0, 1] = bad
+            with pytest.raises(StrategyTableError, match="leader 0"):
+                LeaderStrategy(0, table)
+            with pytest.raises(StrategyTableError, match="follower 2"):
+                FollowerStrategy(2, [0.5, bad, 0.5])
+
+    def test_tables_are_read_only_copies(self):
+        table = np.full(leader_table_shape(FIG_SHAPE), 0.5)
+        strat = LeaderStrategy(0, table)
+        table[0, 0, 0] = 0.9
+        assert strat.table[0, 0, 0] == 0.5
+        with pytest.raises(ValueError):
+            strat.table[0, 0, 0] = 0.9
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data(), coupling=st.booleans())
@@ -95,8 +109,10 @@ class TestBuildMatrix:
         shape = GameShape(n, nl, na, 2.0 * n + 3.0)
         # a small value set makes ties between alliance members common
         prob = st.sampled_from([0.0, 0.25, 0.5, 0.7, 1.0])
-        leaders = [LeaderStrategy(i, {key: data.draw(prob)
-                                      for key in _index_space(shape)})
+        dims = leader_table_shape(shape)
+        leaders = [LeaderStrategy(i, np.reshape([data.draw(prob) for _ in
+                                                 range(np.prod(dims))],
+                                                dims)[::-1])
                    for i in range(nl)]
         if data.draw(st.booleans(), "shared alliance table"):
             leaders[:na] = [leaders[0]] * na
@@ -116,13 +132,13 @@ class TestBuildMatrix:
 
 
 def _oracle_entry(shape, leaders, followers, coupling, v, w):
-    """P(v -> w) from prob() one player at a time. Under coupling,
+    """P(v -> w) from the tables one player at a time. Under coupling,
     alliance members with equal conditional probability form one group that
     acts in unison: mass p if all cooperate, 1 - p if all defect, else 0."""
     nl, na = shape.n_leaders, shape.n_alliance
     prev, nxt = state_actions(v, shape.n_players), state_actions(w, shape.n_players)
     lc, fc = sum(prev[:nl]), sum(prev[nl:])
-    cond = [s.prob(prev[i], lc - prev[i], fc) for i, s in enumerate(leaders)]
+    cond = [s.table[prev[i], lc - prev[i], fc] for i, s in enumerate(leaders)]
     groups = {}
     for i in range(nl):
         key = cond[i] if coupling and i < na else ("solo", i)
@@ -133,7 +149,7 @@ def _oracle_entry(shape, leaders, followers, coupling, v, w):
         acts = {nxt[i] for i in members}
         mass *= 0.0 if len(acts) > 1 else (p if acts == {1} else 1.0 - p)
     for j, s in enumerate(followers):
-        q = s.prob(sum(nxt[:nl]))
+        q = s.probs[sum(nxt[:nl])]
         mass *= q if nxt[nl + j] else 1.0 - q
     return mass
 
@@ -158,9 +174,8 @@ class TestStationary:
         # leaders cooperate iff no leader cooperated last round; the follower
         # copies the leaders, so the chain cycles all-defect <-> all-cooperate
         # and power iteration never settles
-        leaders = [LeaderStrategy(i, {key: float(key[0] + key[1] == 0)
-                                      for key in _index_space(FIG_SHAPE)})
-                   for i in range(2)]
+        s, x, _ = np.indices(leader_table_shape(FIG_SHAPE))
+        leaders = [LeaderStrategy(i, s + x == 0) for i in range(2)]
         followers = [FollowerStrategy(2, (0.0, 0.0, 1.0))]
         tm = build_transition_matrix(FIG_SHAPE, leaders, followers)
         calls = []
@@ -218,9 +233,8 @@ class TestDeterminant:
 
     def test_degenerate_normalization(self):
         # a reducible chain with two absorbing halves degenerates
-        leaders = [LeaderStrategy(i, {key: float(key[0])
-                                      for key in _index_space(FIG_SHAPE)})
-                   for i in range(2)]
+        s = np.indices(leader_table_shape(FIG_SHAPE))[0]
+        leaders = [LeaderStrategy(i, s) for i in range(2)]
         followers = [FollowerStrategy(2, (0.0, 0.5, 1.0))]
         tm = build_transition_matrix(FIG_SHAPE, leaders, followers)
         with pytest.raises(DegenerateChainError):
