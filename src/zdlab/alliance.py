@@ -8,6 +8,7 @@ regardless of how the outsiders play.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,10 +16,11 @@ import numpy as np
 
 from .errors import InfeasibleError
 from .game import (COOPERATE, DEFECT, GameShape, PayoffVectors,
-                   alliance_unison_payoff, outsider_unison_payoff,
-                   payoff_vectors)
-from .markov import (FollowerStrategy, LeaderStrategy, build_transition_matrix,
-                     expected_payoffs, leader_table_shape, stationary)
+                   alliance_unison_payoff, lumped_payoff_vectors,
+                   outsider_unison_payoff, payoff_vectors)
+from .markov import (FollowerStrategy, LeaderStrategy, build_lumped_matrix,
+                     build_transition_matrix, expected_payoffs,
+                     leader_table_shape, splits_transient, stationary)
 
 _F_ZERO = 1e-15
 
@@ -185,12 +187,14 @@ def _alliance_strategy(shape, f_table, phi):
     return LeaderStrategy(0, np.clip(p, 0.0, 1.0))
 
 
+@functools.lru_cache(maxsize=None)
 def _default_outsiders(shape):
+    # shared between calls: the strategy tables are read-only
     leaders = [LeaderStrategy.constant(i, shape, 0.5)
                for i in range(shape.n_alliance, shape.n_leaders)]
     followers = [FollowerStrategy.constant(j, shape, 0.5)
                  for j in range(shape.n_leaders, shape.n_players)]
-    return leaders + followers
+    return tuple(leaders + followers)
 
 
 def random_outsiders(shape: GameShape, rng):
@@ -202,28 +206,42 @@ def random_outsiders(shape: GameShape, rng):
     return leaders + followers
 
 
-def verify_enforcement(result: SynthesisResult, outsider_strategies,
-                       chi: float | None = None, l: float | None = None) -> float:
-    """Residual of the enforced relation against the stationary oracle.
+def stationary_payoffs(result: SynthesisResult, outsider_strategies):
+    """Expected per-round payoffs (alliance, outsiders) of the coupled
+    chain at stationarity.
 
     ``outsider_strategies`` lists strategies for players n_alliance..N-1
-    in order: non-alliance leaders first, then followers.
+    in order: non-alliance leaders first, then followers. The chain is
+    solved lumped onto unison alliance states when its split states are
+    transient, and in full otherwise.
     """
     shape = result.params.shape
+    n_out_leaders = shape.n_leaders - shape.n_alliance
+    if len(outsider_strategies) != shape.n_players - shape.n_alliance:
+        raise ValueError("need one strategy per outsider")
+    out_leaders = list(outsider_strategies[:n_out_leaders])
+    followers = list(outsider_strategies[n_out_leaders:])
+
+    if splits_transient(shape, result.strategy.table):
+        tm = build_lumped_matrix(shape, [result.strategy] + out_leaders,
+                                 followers)
+        payoffs = lumped_payoff_vectors(shape)
+    else:
+        leaders = [result.strategy] * shape.n_alliance + out_leaders
+        tm = build_transition_matrix(shape, leaders, followers, coupling=True)
+        payoffs = payoff_vectors(shape)
+    return expected_payoffs(shape, stationary(tm), payoffs)
+
+
+def verify_enforcement(result: SynthesisResult, outsider_strategies,
+                       chi: float | None = None, l: float | None = None) -> float:
+    """Residual of the enforced relation against the stationary oracle
+    (``stationary_payoffs``)."""
     if chi is None:
         chi = result.params.chi
     if l is None:
         l = result.params.l
-    n_out_leaders = shape.n_leaders - shape.n_alliance
-    if len(outsider_strategies) != shape.n_players - shape.n_alliance:
-        raise ValueError("need one strategy per outsider")
-    leaders = [result.strategy] * shape.n_alliance
-    leaders += list(outsider_strategies[:n_out_leaders])
-    followers = list(outsider_strategies[n_out_leaders:])
-
-    tm = build_transition_matrix(shape, leaders, followers, coupling=True)
-    sv = stationary(tm)
-    pi_a, pi_out = expected_payoffs(shape, sv, payoff_vectors(shape))
+    pi_a, pi_out = stationary_payoffs(result, outsider_strategies)
     return abs(pi_out - chi * pi_a - (1 - chi) * l)
 
 

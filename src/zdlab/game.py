@@ -186,3 +186,22 @@ def payoff_vectors(shape: GameShape) -> PayoffVectors:
 
     return PayoffVectors(group_mean(range(na)), group_mean(range(na, n)),
                          shape)
+
+
+@functools.lru_cache(maxsize=None)
+def lumped_payoff_vectors(shape: GameShape) -> PayoffVectors:
+    """The closed-form unison payoffs on the alliance-lumped states: bit 0
+    is the alliance's unison action, the other bits are the outsiders
+    (leaders, then followers)."""
+    na = shape.n_alliance
+    bits = state_bits(shape.n_players - na + 1)
+    outcomes = list(zip(bits[:, 0].tolist(),
+                        (na * bits[:, 0] + bits[:, 1:].sum(axis=1)).tolist()))
+
+    def closed_form(payoff):
+        vec = np.array([payoff(s, b, shape) for s, b in outcomes])
+        vec.flags.writeable = False
+        return vec
+
+    return PayoffVectors(closed_form(alliance_unison_payoff),
+                         closed_form(outsider_unison_payoff), shape)

@@ -2,7 +2,8 @@
 
 Leaders move first, conditioning on the full previous-round state;
 followers then condition on the leaders' current-round actions. The
-chain lives on all 2^N action profiles.
+full chain lives on all 2^N action profiles; the lumped chain of a
+coupled alliance lives on its 2^(N - n_alliance + 1) unison profiles.
 """
 
 from __future__ import annotations
@@ -95,25 +96,25 @@ class TransitionMatrix:
     matrix: np.ndarray
     shape: GameShape
     coupled: bool
+    lumped: bool = False
 
 
 @dataclass(frozen=True)
 class StationaryVector:
+    """Stationary distribution and how it was reached: ``path`` is
+    ``"power"`` or ``"dense"`` (the linear-solve fallback), ``iterations``
+    the number of power sweeps made."""
+
     vector: np.ndarray
     residual: float
+    path: str
+    iterations: int
 
 
-def build_transition_matrix(shape: GameShape, leaders, followers,
-                            coupling: bool = False) -> TransitionMatrix:
-    """One-step transition matrix of the chain.
-
-    With ``coupling`` on, alliance members that share the same conditional
-    cooperation probability draw one coin together, so they realize
-    identical actions and split alliance outcomes get zero mass.
-    """
+def _check_strategies(shape, leaders, followers, n_leaders):
     if shape.n_players > MAX_PLAYERS:
         raise ValueError(f"state space capped at {MAX_PLAYERS} players")
-    if len(leaders) != shape.n_leaders or len(followers) != shape.n_followers:
+    if len(leaders) != n_leaders or len(followers) != shape.n_followers:
         raise ValueError("need exactly one strategy per player")
     dims = leader_table_shape(shape)
     tables = [(s.owner, s.table, dims) for s in leaders]
@@ -125,10 +126,70 @@ def build_transition_matrix(shape: GameShape, leaders, followers,
                 f"the game needs {dims}"
             )
 
-    n, nl, na = shape.n_players, shape.n_leaders, shape.n_alliance
-    size = shape.n_states
+
+def build_transition_matrix(shape: GameShape, leaders, followers,
+                            coupling: bool = False) -> TransitionMatrix:
+    """One-step transition matrix of the chain.
+
+    With ``coupling`` on, alliance members that share the same conditional
+    cooperation probability draw one coin together, so they realize
+    identical actions and split alliance outcomes get zero mass.
+    """
+    _check_strategies(shape, leaders, followers, shape.n_leaders)
+    weights = np.ones(shape.n_leaders, dtype=int)
+    n_tied = shape.n_alliance if coupling else 0
+    matrix = _chain(weights, leaders, followers, n_tied)
+    return TransitionMatrix(matrix, shape, coupling)
+
+
+def build_lumped_matrix(shape: GameShape, leaders,
+                        followers) -> TransitionMatrix:
+    """Transition matrix of the coupled chain lumped onto unison alliance
+    states, 2^(N - n_alliance + 1) of them.
+
+    ``leaders[0]`` is the strategy the alliance shares and moves on bit 0
+    of a lumped state as one mover counting n_alliance cooperators;
+    ``leaders[1:]`` are the outsider leaders. Exact when the split states
+    of the coupled chain are transient (``splits_transient``).
+    """
+    n_movers = shape.n_leaders - shape.n_alliance + 1
+    _check_strategies(shape, leaders, followers, n_movers)
+    weights = np.ones(n_movers, dtype=int)
+    weights[0] = shape.n_alliance
+    matrix = _chain(weights, leaders, followers, 0)
+    return TransitionMatrix(matrix, shape, True, lumped=True)
+
+
+def splits_transient(shape: GameShape, table) -> bool:
+    """Whether every split alliance state of the coupled chain reunites in
+    one step with positive probability, for alliance table ``table``.
+
+    With k members cooperating, u outsider leaders cooperating and y
+    followers cooperating, the cooperating members draw one coin with
+    ``table[1, k-1+u, y]`` and the defecting ones one with
+    ``table[0, k+u, y]``; they can only stay split if one coin is 0 and
+    the other 1.
+    """
+    na = shape.n_alliance
+    k = np.arange(1, na)[:, None, None]
+    u = np.arange(shape.n_leaders - na + 1)[None, :, None]
+    y = np.arange(shape.n_followers + 1)[None, None, :]
+    p_c, p_d = table[1, k - 1 + u, y], table[0, k + u, y]
+    return not ((p_c == 0.0) & (p_d == 1.0) | (p_c == 1.0) & (p_d == 0.0)).any()
+
+
+def _chain(weights, leaders, followers, n_tied):
+    """Transition matrix over the states of leader movers then followers.
+
+    Leader mover i stands for ``weights[i]`` players acting alike; movers
+    0..n_tied-1 are alliance members, coupled as in
+    ``build_transition_matrix``.
+    """
+    nl = len(weights)
+    n = nl + len(followers)
+    size = 1 << n
     bits = state_bits(n)
-    leader_coops = bits[:, :nl].sum(axis=1)
+    leader_coops = bits[:, :nl] @ weights
     follower_coops = bits[:, nl:].sum(axis=1)
 
     # Follower factor depends only on the successor column.
@@ -146,7 +207,7 @@ def build_transition_matrix(shape: GameShape, leaders, followers,
         own = bits[:, i]
         p = cond[:, i] = strat.table[own, leader_coops - own, follower_coops]
         coin = np.stack([1.0 - p, p], axis=1)
-        if coupling and 0 < i < na:
+        if 0 < i < n_tied:
             # a member tied with an earlier member copies its action
             same = cond[:, :i] == p[:, None]
             tied = same.any(axis=1)
@@ -166,14 +227,15 @@ def build_transition_matrix(shape: GameShape, leaders, followers,
     if np.any(np.abs(sums - 1.0) > 1e-9):
         raise ValueError("transition rows do not sum to one")
     matrix /= sums[:, None]
-    return TransitionMatrix(matrix, shape, coupling)
+    return matrix
 
 
 def stationary(tm: TransitionMatrix) -> StationaryVector:
     """Stationary distribution with residual ``max|vM - v| <= _TOL``.
 
     Power iteration, with one dense linear-solve attempt after
-    ``_POWER_BUDGET`` sweeps for slow-mixing chains. Deterministic given
+    ``_POWER_BUDGET`` sweeps for slow-mixing chains; if that solve misses
+    the target, power iteration goes on from it. Deterministic given
     identical inputs.
     """
     m = tm.matrix
@@ -185,13 +247,14 @@ def stationary(tm: TransitionMatrix) -> StationaryVector:
             if sol is not None:
                 resid = float(np.abs(sol @ m - sol).max())
                 if resid <= _TOL:
-                    return StationaryVector(sol, resid)
+                    return StationaryVector(sol, resid, "dense", sweep)
                 v = sol
         nxt = v @ m
         if np.abs(nxt - v).max() <= _TOL:
             resid = float(np.abs(nxt @ m - nxt).max())
             if resid <= _TOL:
-                return StationaryVector(nxt / nxt.sum(), resid)
+                return StationaryVector(nxt / nxt.sum(), resid, "power",
+                                        sweep + 1)
         v = nxt
     resid = float(np.abs(v @ m - v).max())
     raise ConvergenceError(
@@ -223,6 +286,8 @@ def zd_determinant(tm: TransitionMatrix, f, pivot_leader: int) -> float:
     all-defect column carries ``f``.
     """
     shape = tm.shape
+    if tm.lumped:
+        raise ValueError("determinant evaluation needs the full chain")
     if shape.n_players > MAX_DETERMINANT_PLAYERS:
         raise ValueError(
             f"determinant evaluation capped at {MAX_DETERMINANT_PLAYERS} players"

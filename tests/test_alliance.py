@@ -1,16 +1,38 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from zdlab.alliance import (ZDParams, alliance_admissible, dominance_check,
-                            feasible_l_range, incentive_menu, random_outsiders,
-                            synthesize, verify_enforcement)
+from zdlab.alliance import (ZDParams, _default_outsiders, alliance_admissible,
+                            dominance_check, feasible_l_range, incentive_menu,
+                            random_outsiders, stationary_payoffs, synthesize,
+                            verify_enforcement)
 from zdlab.errors import InfeasibleError
 from zdlab.game import GameShape, payoff_vectors
-from zdlab.markov import build_transition_matrix, zd_determinant
+from zdlab.markov import (LeaderStrategy, build_transition_matrix,
+                          expected_payoffs, splits_transient, stationary,
+                          zd_determinant)
 
 FIG_SHAPE = GameShape(3, 2, 2, 9.0)
+
+# every admissible shape with N <= 7 at two payoff factors
+SMALL_SHAPES = [shape for n in range(2, 8) for r in (2.0 * n + 3.0, 4.0 * n)
+                for nl in range(1, n + 1) for na in range(1, min(nl, n - 1) + 1)
+                if alliance_admissible(shape := GameShape(n, nl, na, r))]
+
+
+def full_chain_payoffs(result, outsiders):
+    """Expected payoffs on the full 2^N coupled chain."""
+    shape = result.params.shape
+    n_out_leaders = shape.n_leaders - shape.n_alliance
+    leaders = ([result.strategy] * shape.n_alliance
+               + list(outsiders[:n_out_leaders]))
+    tm = build_transition_matrix(shape, leaders, list(outsiders[n_out_leaders:]),
+                                 coupling=True)
+    return expected_payoffs(shape, stationary(tm), payoff_vectors(shape))
 
 
 class TestAdmissibility:
@@ -143,6 +165,63 @@ class TestEnforcement:
             for strat in outsiders[n_out_leaders:]:
                 h.update(strat.probs.tobytes())
         assert h.hexdigest() == digest
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(shape=st.sampled_from(SMALL_SHAPES),
+           chi=st.sampled_from([0.0, 0.3, 0.6]),
+           frac=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_lumped_chain_matches_full_chain(self, shape, chi, frac, seed):
+        try:
+            l_min, l_max = feasible_l_range(chi, shape)
+            result = synthesize(ZDParams(chi, l_min + frac * (l_max - l_min),
+                                         shape))
+        except InfeasibleError:
+            assume(False)
+        outsiders = random_outsiders(shape, np.random.default_rng(seed))
+        np.testing.assert_allclose(stationary_payoffs(result, outsiders),
+                                   full_chain_payoffs(result, outsiders),
+                                   rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("dims, chi", [((10, 9, 9), 0.3),
+                                           ((10, 7, 6), 0.0)])
+    def test_lumped_chain_matches_full_chain_n10(self, dims, chi):
+        shape = GameShape(*dims, 23.0)
+        rng = np.random.default_rng(10)
+        l_min, l_max = feasible_l_range(chi, shape)
+        for frac in (0.25, 0.75):
+            result = synthesize(ZDParams(chi, l_min + frac * (l_max - l_min),
+                                         shape))
+            assert splits_transient(shape, result.strategy.table)
+            outsiders = random_outsiders(shape, rng)
+            np.testing.assert_allclose(stationary_payoffs(result, outsiders),
+                                       full_chain_payoffs(result, outsiders),
+                                       rtol=0, atol=1e-9)
+
+    def test_full_chain_fallback(self):
+        shape = GameShape(4, 3, 2, 11.0)
+        result = synthesize(ZDParams(0.3, 6.0, shape))
+        assert splits_transient(shape, result.strategy.table)
+        # with one member cooperating, no outsider cooperating: the
+        # cooperator's coin table[1, 0, 0] is 0 (a split-only index) and the
+        # defector's table[0, 1, 0] is set to 1, so that split persists
+        table = result.strategy.table.copy()
+        assert table[1, 0, 0] == 0.0
+        table[0, 1, 0] = 1.0
+        stuck = dataclasses.replace(result, strategy=LeaderStrategy(0, table))
+        assert not splits_transient(shape, table)
+        outsiders = random_outsiders(shape, np.random.default_rng(4))
+        pi_a, pi_out = full_chain_payoffs(stuck, outsiders)
+        assert verify_enforcement(stuck, outsiders) == abs(
+            pi_out - 0.3 * pi_a - 0.7 * 6.0)
+
+    def test_default_outsiders_cached(self):
+        shape = GameShape(5, 4, 3, 13.0)
+        first = _default_outsiders(shape)
+        assert _default_outsiders(shape) is first
+        assert len(first) == 2
+        assert all(s.owner == i for i, s in enumerate(first, start=3))
+        tables = [first[0].table, first[1].probs]
+        assert all((t == 0.5).all() and not t.flags.writeable for t in tables)
 
     def test_outsider_count_checked(self):
         result = synthesize(ZDParams(0.0, 4.0, FIG_SHAPE))

@@ -181,15 +181,17 @@ class TestMain:
     @pytest.mark.parametrize("argv, digest", [
         (["--players", "3", "--alliance", "2", "--r", "9", "--chi", "0",
           "--l", "5"],
-         "9d47352772646a827a9c005f87f139f44fff0e22c2eee6a8a0e59a36a4bf2ccb"),
+         "d3e0c233916a96c9061dbc6ac28e73d233dadc2a54ef72d654d4db177293b2e4"),
         (["--players", "5", "--leaders", "4", "--alliance", "3", "--r", "13",
           "--chi", "0.3", "--l", "6"],
-         "45df43ff1144839fc70bae952fa7f1d176cbf33d45fa890860158244a4560700"),
+         "c46493a270427261bc4a276bbafd11ff2dfb30456f1f8ddb884cb78473163a0d"),
         (["--players", "8", "--leaders", "7", "--alliance", "6", "--r", "19",
           "--chi", "0.6", "--l", "8"],
-         "ac434cdb7fb35336d6679a62b318d3c47cb50b2edc33c79a64e4f1882dc98a98"),
+         "c0f72aa81c782e5572f5c695c6da44f444aab4f6a565277d92a3104c5f64b614"),
     ])
     def test_synth_output_golden(self, capsys, argv, digest):
+        # sha256 of stdout; its last value is the certificate residual,
+        # solved on the alliance-lumped chain
         assert main(["synth", *argv]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -222,6 +224,14 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["synth", "verify"])
+    def test_player_cap_exit_code(self, capsys, command):
+        rc = main([command, "--players", "11", "--alliance", "10", "--r", "25",
+                   "--chi", "0", "--l", "5"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: state space capped at 10 players\n"
 
     def test_exhaustive_cap_exit_code(self, tmp_path, capsys):
         gpath = str(tmp_path / "mesh80.txt")

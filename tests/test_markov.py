@@ -7,8 +7,9 @@ from zdlab import markov
 from zdlab.errors import DegenerateChainError, StrategyTableError
 from zdlab.game import GameShape, payoff_vectors, state_actions
 from zdlab.markov import (FollowerStrategy, LeaderStrategy,
-                          build_transition_matrix, determinant_dot,
-                          expected_payoffs, leader_table_shape, stationary,
+                          build_lumped_matrix, build_transition_matrix,
+                          determinant_dot, expected_payoffs,
+                          leader_table_shape, splits_transient, stationary,
                           zd_determinant)
 
 FIG_SHAPE = GameShape(3, 2, 2, 9.0)
@@ -154,6 +155,51 @@ def _oracle_entry(shape, leaders, followers, coupling, v, w):
     return mass
 
 
+class TestLumpedChain:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_full_chain_on_unison_states(self, data):
+        n = data.draw(st.integers(2, 6), "n_players")
+        nl = data.draw(st.integers(1, n), "n_leaders")
+        na = data.draw(st.integers(1, min(nl, n - 1)), "n_alliance")
+        shape = GameShape(n, nl, na, 2.0 * n + 3.0)
+        # 0 and 1 entries make split states that never reunite common
+        prob = st.sampled_from([0.0, 0.25, 0.5, 0.7, 1.0])
+        dims = leader_table_shape(shape)
+        movers = [LeaderStrategy(i, np.reshape([data.draw(prob) for _ in
+                                                range(np.prod(dims))], dims))
+                  for i in range(na - 1, nl)]
+        followers = [FollowerStrategy(j, [data.draw(prob)
+                                          for _ in range(nl + 1)])
+                     for j in range(nl, n)]
+        full = build_transition_matrix(shape, [movers[0]] * (na - 1) + movers,
+                                       followers, coupling=True).matrix
+        lumped = build_lumped_matrix(shape, movers, followers)
+        assert lumped.lumped and lumped.matrix.shape == (2 ** (n - na + 1),) * 2
+        # lumped state: bit 0 the alliance's action, then the outsiders
+        unison = [(s & 1) * ((1 << na) - 1) | (s >> 1) << na
+                  for s in range(2 ** (n - na + 1))]
+        np.testing.assert_allclose(lumped.matrix, full[np.ix_(unison, unison)],
+                                   rtol=0, atol=1e-15)
+        split = np.setdiff1d(np.arange(shape.n_states), unison)
+        reunites = full[np.ix_(split, unison)].sum(axis=1) > 0
+        assert splits_transient(shape, movers[0].table) == reunites.all()
+
+    def test_determinant_needs_full_chain(self):
+        leaders = [LeaderStrategy.constant(0, FIG_SHAPE, 0.5)]
+        followers = [FollowerStrategy.constant(2, FIG_SHAPE, 0.5)]
+        tm = build_lumped_matrix(FIG_SHAPE, leaders, followers)
+        with pytest.raises(ValueError, match="full chain"):
+            zd_determinant(tm, np.ones(FIG_SHAPE.n_states), 0)
+
+    def test_player_cap(self):
+        shape = GameShape(11, 10, 10, 25.0)
+        leaders = [LeaderStrategy.constant(0, shape, 0.5)]
+        followers = [FollowerStrategy.constant(10, shape, 0.5)]
+        with pytest.raises(ValueError, match="capped at 10 players"):
+            build_lumped_matrix(shape, leaders, followers)
+
+
 class TestStationary:
     def test_uniform_chain(self):
         leaders = [LeaderStrategy.constant(i, FIG_SHAPE, 0.5) for i in range(2)]
@@ -161,6 +207,7 @@ class TestStationary:
         sv = stationary(build_transition_matrix(FIG_SHAPE, leaders, followers))
         assert np.allclose(sv.vector, 1 / 8)
         assert sv.residual <= 1e-12
+        assert sv.path == "power" and sv.iterations == 1
 
     def test_all_defect_absorbing(self):
         leaders = [LeaderStrategy.constant(i, FIG_SHAPE, 0.0) for i in range(2)]
@@ -184,6 +231,7 @@ class TestStationary:
                             lambda m: calls.append(1) or dense(m))
         sv = stationary(tm)
         assert calls == [1]
+        assert sv.path == "dense" and sv.iterations == markov._POWER_BUDGET
         expected = np.zeros(8)
         expected[[0, 7]] = 0.5
         assert np.allclose(sv.vector, expected, atol=1e-12)
