@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import statistics
 import sys
 import time
@@ -94,6 +95,8 @@ def _typed(mapping, key, kinds, where, default=None):
     value = mapping.get(key, default)
     if not _is_a(value, kinds):
         raise ConfigError(f"{where} field {key!r} has the wrong type: {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where} field {key!r} must be finite: {value!r}")
     return value
 
 
@@ -514,10 +517,19 @@ def build_parser():
     return parser
 
 
+def _check_finite(args):
+    """Every float option is an input, so NaN and infinity are input errors."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"--{name.replace('_', '-')} must be a finite "
+                              f"number, not {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_finite(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import PayoffScale
-from .graphs import Graph
+from .graphs import Graph, adjacency_matrix  # noqa: F401  (re-exported)
 
 
 @dataclass(frozen=True)
@@ -111,13 +111,6 @@ def cooperator_ratio(dep: Deployment, mode: str = "expected",
     for info in result.nodes.values():
         coops += int(rng.binomial(rounds, info.coop_prob))
     return coops / (n * rounds)
-
-
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    """Dense 0/1 adjacency as float64, so a mask product is one BLAS call."""
-    adj = np.zeros((g.n, g.n))
-    adj[np.repeat(np.arange(g.n), g.degrees), g.indices] = 1.0
-    return adj
 
 
 @functools.lru_cache(maxsize=8)

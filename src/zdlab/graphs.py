@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import random
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +13,8 @@ from .errors import TraceParseError
 
 TOPOLOGIES = ("star", "ring", "tree", "mesh")
 DEFAULT_MESH_DENSITY = 0.49
+# array entries per betweenness source block (8 MB of float64)
+BETWEENNESS_BLOCK = 1 << 20
 
 
 class Graph:
@@ -53,9 +55,6 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
-    def has_edge(self, u, v):
-        return v in self.neighbors(u)
-
     def neighbors(self, u) -> list[int]:
         return self.indices[self.indptr[u]:self.indptr[u + 1]].tolist()
 
@@ -83,26 +82,41 @@ class Graph:
 
     @classmethod
     def read(cls, path):
+        """Graph from a ``V <count>`` header and ``u v`` edge lines ('#'
+        comments and blank lines skipped). A bad line raises ValueError
+        naming ``path:line``."""
         n, edges = None, []
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
                 parts = line.split()
+                if not parts or parts[0].startswith("#"):
+                    continue
+                where = f"{path}:{lineno}"
                 if n is None:
                     if len(parts) != 2 or parts[0] != "V":
-                        raise ValueError(
-                            f"{path}:{lineno}: expected header 'V <count>'"
-                        )
-                    n = int(parts[1])
+                        raise ValueError(f"{where}: expected header 'V <count>'")
+                    n = _read_int(parts[1], "node count", where)
+                    if n < 1:
+                        raise ValueError(f"{where}: node count must be positive")
                     continue
                 if len(parts) != 2:
-                    raise ValueError(f"{path}:{lineno}: expected 'u v'")
-                edges.append((int(parts[0]), int(parts[1])))
+                    raise ValueError(f"{where}: expected 'u v'")
+                u, v = (_read_int(p, "node id", where) for p in parts)
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"{where}: node ids must lie in 0..{n - 1}")
+                if u == v:
+                    raise ValueError(f"{where}: self-loop on node {u}")
+                edges.append((u, v))
         if n is None:
             raise ValueError(f"{path}: empty graph file")
         return cls(n, edges)
+
+
+def _read_int(token, what, where):
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{where}: {what} {token!r} is not an integer") from None
 
 
 def generate(topology: str, n: int, seed: int = 0,
@@ -222,39 +236,70 @@ def degree_stats(g: Graph) -> DegreeStats:
     return DegreeStats(degrees, sum(degrees) / g.n)
 
 
+def adjacency_matrix(g: Graph) -> np.ndarray:
+    """Dense read-only 0/1 adjacency as float64, so a mask or frontier
+    product is one BLAS call."""
+    adj = np.zeros((g.n, g.n))
+    adj[np.repeat(np.arange(g.n), g.degrees), g.indices] = 1.0
+    adj.flags.writeable = False
+    return adj
+
+
+@functools.lru_cache(maxsize=1)
+def shared_adjacency(g: Graph) -> np.ndarray:
+    """The last graph's :func:`adjacency_matrix`, built once and shared by
+    :func:`betweenness` and the optimizers."""
+    return adjacency_matrix(g)
+
+
 @functools.lru_cache(maxsize=1)
 def betweenness(g: Graph) -> tuple[float, ...]:
-    """Shortest-path betweenness per node (Brandes), unnormalized, with
-    fractional credit on ties; each unordered pair counted once.
+    """Shortest-path betweenness per node, unnormalized, with fractional
+    credit on ties; each unordered pair counted once.
 
-    The last graph's scores are cached, so the optimizer and the sweep
-    share one computation per graph.
+    Brandes' dependency recursion run from a block of sources at once, one
+    dense product per BFS level (see :func:`_dependencies`). Blocks hold
+    about ``BETWEENNESS_BLOCK`` entries per array, so memory beyond the
+    V x V adjacency stays bounded. The last graph's scores are cached, so
+    the optimizer and the sweep share one computation per graph.
     """
-    neighbors = [g.neighbors(u) for u in range(g.n)]
-    scores = [0.0] * g.n
-    for source in range(g.n):
-        stack = []
-        preds = [[] for _ in range(g.n)]
-        sigma = [0] * g.n
-        sigma[source] = 1
-        dist = [-1] * g.n
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            stack.append(v)
-            for w in neighbors[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
-        delta = [0.0] * g.n
-        while stack:
-            w = stack.pop()
-            for v in preds[w]:
-                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-            if w != source:
-                scores[w] += delta[w]
-    return tuple(s / 2.0 for s in scores)
+    adj = shared_adjacency(g)
+    rows = max(1, BETWEENNESS_BLOCK // g.n)
+    scores = np.zeros(g.n)
+    for first in range(0, g.n, rows):
+        scores += _dependencies(adj, np.arange(first, min(g.n, first + rows)))
+    return tuple((scores / 2.0).tolist())
+
+
+def _dependencies(adj: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Each node's summed dependency over ``sources`` (Brandes 2001).
+
+    Row ``i`` of each array belongs to source ``sources[i]``. The forward
+    pass counts shortest paths (``sigma``) with one ``frontier @ adj`` per
+    level and records depths; the backward pass accumulates dependencies
+    from the deepest level up, one product per level.
+    """
+    rows = np.arange(len(sources))
+    frontier = np.zeros((len(sources), len(adj)))
+    frontier[rows, sources] = 1.0
+    sigma = frontier.copy()
+    dist = np.full(frontier.shape, -1, dtype=np.int32)
+    dist[rows, sources] = 0
+    depth = 0
+    while True:
+        frontier = frontier @ adj
+        frontier[dist >= 0] = 0.0
+        reached = frontier > 0
+        if not reached.any():
+            break
+        depth += 1
+        dist[reached] = depth
+        sigma += frontier
+    delta = np.zeros_like(sigma)
+    for level in range(depth, 1, -1):
+        # coef[s, w] = (1 + delta[s, w]) / sigma[s, w] on level ``level``
+        coef = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma),
+                         where=dist == level)
+        upper = dist == level - 1
+        delta[upper] = (coef @ adj)[upper] * sigma[upper]
+    return delta.sum(axis=0)

@@ -10,9 +10,9 @@ from itertools import combinations, islice
 import numpy as np
 
 from .errors import ExhaustiveCapError
-from .field import Deployment, adjacency_matrix, objective_from_mask
+from .field import Deployment, objective_from_mask
 from .game import PayoffScale
-from .graphs import Graph, betweenness
+from .graphs import Graph, betweenness, shared_adjacency
 
 # mask elements scored per exhaustive-search block
 EXHAUSTIVE_BLOCK = 8192
@@ -79,7 +79,7 @@ def optimize_ga(g: Graph, k: int, scale: PayoffScale,
     """
     _check_k(g, k)
     rng = np.random.default_rng(cfg.seed)
-    adj = adjacency_matrix(g)
+    adj = shared_adjacency(g)
     n, size = g.n, cfg.population_size
     mutation_rate = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / n
     n_children = size - cfg.elitism_count
@@ -122,7 +122,7 @@ def optimize_exhaustive(g: Graph, k: int, scale: PayoffScale,
         raise ExhaustiveCapError(
             f"{total} candidate subsets exceed the cap of {cap}"
         )
-    adj = adjacency_matrix(g)
+    adj = shared_adjacency(g)
     rows = max(1, EXHAUSTIVE_BLOCK // g.n)
     subsets = combinations(range(g.n), k)
     best_set, best_score, seen_max = None, -math.inf, -math.inf

@@ -261,6 +261,11 @@ class TestMain:
         {"seed": None},
         {"output": 7},
         {"ga": {"generations": -5}},
+        # json.dumps writes NaN and Infinity, and json.load reads them back
+        {"scale": {"a": math.nan}},
+        {"scale": {"b": math.inf}},
+        {"topology": {"type": "mesh", "n": 12, "density": math.nan}},
+        {"ga": {"crossover_rate": -math.inf}},
     ])
     def test_mistyped_config_exit_code(self, tmp_path, capsys, patch):
         cfg_path = tmp_path / "cfg.json"
@@ -269,6 +274,54 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("synth", "--r", "nan"),
+        ("synth", "--l", "nan"),
+        ("synth", "--l", "inf"),
+        ("synth", "--chi", "nan"),
+        ("verify", "--phi", "-inf"),
+        ("verify", "--r", "inf"),
+        ("field", "--scale-a", "nan"),
+        ("opt", "--scale-b", "inf"),
+        ("topo", "--density", "nan"),
+    ])
+    def test_non_finite_option_exit_code(self, tmp_path, capsys, command,
+                                         option, value):
+        defaults = {
+            "synth": ["--players", "3", "--alliance", "2", "--r", "9",
+                      "--l", "5"],
+            "field": ["--graph", str(tmp_path / "g.txt"), "--zd", "0"],
+            "opt": ["--graph", str(tmp_path / "g.txt"), "--K", "1"],
+            "topo": ["--type", "mesh", "--n", "5",
+                     "--out", str(tmp_path / "g.txt")],
+        }
+        # "--phi=-inf": a separate "-inf" would parse as an option
+        rc = main([command, *defaults.get(command, defaults["synth"]),
+                   f"{option}={value}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (f"config error: {option} must be a finite number, "
+                       f"not {float(value)}\n")
+        assert not (tmp_path / "g.txt").exists()
+
+    @pytest.mark.parametrize("text, line, fault", [
+        ("V x\n", 1, "node count 'x' is not an integer"),
+        ("# graph\nV 3.0\n", 2, "node count '3.0' is not an integer"),
+        ("V 0\n", 1, "node count must be positive"),
+        ("V 3\n0 1\n1 y\n", 3, "node id 'y' is not an integer"),
+        ("V 3\n\n0 3\n", 3, "node ids must lie in 0..2"),
+        ("V 3\n-1 0\n", 2, "node ids must lie in 0..2"),
+        ("V 3\n2 2\n", 2, "self-loop on node 2"),
+        ("V 3\n0 1 2\n", 2, "expected 'u v'"),
+        ("0 1\n", 1, "expected header 'V <count>'"),
+    ])
+    def test_bad_graph_file_names_line(self, tmp_path, capsys, text, line,
+                                       fault):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        assert main(["metrics", "--graph", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:{line}: {fault}\n"
 
     @pytest.mark.parametrize("doc", [
         [],

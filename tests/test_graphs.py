@@ -1,10 +1,14 @@
 import hashlib
 import math
+import random
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zdlab import graphs
 from zdlab.errors import TraceParseError
 from zdlab.graphs import (Graph, TraceRecord, betweenness, degree_stats,
                           generate, ingest_trace, parse_trace)
@@ -44,11 +48,38 @@ def brute_betweenness(g):
     return scores
 
 
+def has_edge(g, u, v):
+    return v in g.neighbors(u)
+
+
+def random_graphs(count, max_n, seed):
+    """Seeded G(n, p) graphs with n in 1..max_n and mean degree 0.5 to 12.
+
+    The sparse ones (mean degree at most 1) are mostly disconnected, with
+    isolated nodes. The denser ones also get the path 0-1-...-(n-1), so
+    they are connected: for a pair in different components the oracle
+    enumerates every simple path of a component, and on a dense component
+    that takes minutes.
+    """
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        n = 1 + i % max_n
+        mean_degree = rng.choice((0.5, 1.0, 3.0, 6.0, 12.0))
+        p = mean_degree / max(1, n - 1)
+        edges = [(u, v) for u, v in combinations(range(n), 2)
+                 if rng.random() < p]
+        if mean_degree > 1.0:
+            edges += [(u, u + 1) for u in range(n - 1)]
+        out.append(Graph(n, edges))
+    return out
+
+
 class TestGraph:
     def test_basic_operations(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        assert g.has_edge(1, 0)
-        assert not g.has_edge(0, 2)
+        assert has_edge(g, 1, 0)
+        assert not has_edge(g, 0, 2)
         assert g.degree(1) == 2
         assert g.edge_count == 3
         assert g.edges() == [(0, 1), (1, 2), (2, 3)]
@@ -135,7 +166,7 @@ class TestGenerate:
     def test_ring(self):
         g = generate("ring", 6)
         assert all(g.degree(u) == 2 for u in range(6))
-        assert g.has_edge(5, 0)
+        assert has_edge(g, 5, 0)
 
     def test_tree(self):
         g = generate("tree", 7)
@@ -221,12 +252,21 @@ class TestMetrics:
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         assert betweenness(g) == pytest.approx([0.0, 2.0, 2.0, 0.0])
 
-    def test_matches_brute_force_oracle(self):
+    @pytest.mark.filterwarnings("error")
+    def test_matches_brute_force_oracle(self, monkeypatch):
         cases = [generate("ring", 7), generate("tree", 9),
                  generate("mesh", 9, seed=2), generate("mesh", 10, seed=4),
-                 Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])]
+                 Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]),
+                 *random_graphs(80, 40, seed=11)]
+        assert any(0 in g.degrees for g in cases)
         for g in cases:
-            assert betweenness(g) == pytest.approx(brute_betweenness(g))
+            expected = brute_betweenness(g)
+            # 50 entries per block splits every graph of more than one node
+            # into several source blocks, the last one short
+            for block in (graphs.BETWEENNESS_BLOCK, 50):
+                monkeypatch.setattr(graphs, "BETWEENNESS_BLOCK", block)
+                betweenness.cache_clear()
+                assert betweenness(g) == pytest.approx(expected)
 
     def test_relabel_invariance(self):
         g = generate("mesh", 8, seed=9)
@@ -236,3 +276,75 @@ class TestMetrics:
         relabeled = betweenness(h)
         for u in range(8):
             assert relabeled[perm[u]] == pytest.approx(base[u])
+
+
+# lines mixing the graph and trace grammars with junk; free text is kept
+# short so that no drawn header asks for a huge graph
+TOKENS = st.sampled_from(["V", "#", "#V", "0", "1", "2", "7", "-1", "x",
+                          "3.5", "1e3", "nan", ",", "a", "b"])
+LINES = st.one_of(st.lists(TOKENS, max_size=5).map(" ".join),
+                  st.integers(-3, 40).map(lambda n: f"V {n}"),
+                  st.text(max_size=6))
+LABELS = st.text("abcxyz019_-.", min_size=1, max_size=4)
+
+
+def _content_line(line):
+    parts = line.split()
+    return bool(parts) and not parts[0].startswith("#")
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 25), data=st.data())
+    def test_read_round_trip(self, n, data, tmp_path_factory):
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges = data.draw(st.lists(pairs.filter(lambda e: e[0] != e[1]),
+                                   max_size=40))
+        g = Graph(n, edges)
+        path = tmp_path_factory.getbasetemp() / "round_trip.txt"
+        g.write(path)
+        h = Graph.read(path)
+        assert h.n == g.n and h.edges() == g.edges()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(lines=st.lists(LINES, max_size=8))
+    def test_read_arbitrary_text(self, lines, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "arbitrary.txt"
+        path.write_text("\n".join(lines))
+        with open(path) as fh:  # the lines as the reader sees them
+            read_lines = fh.readlines()
+        try:
+            g = Graph.read(path)
+        except ValueError as exc:
+            message = str(exc)
+            if not any(map(_content_line, read_lines)):
+                assert message == f"{path}: empty graph file"
+                return
+            head, lineno, _ = message.split(":", 2)
+            assert head == str(path)
+            assert _content_line(read_lines[int(lineno) - 1])
+        else:
+            assert isinstance(g, Graph)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rows=st.lists(st.tuples(
+        LABELS, LABELS,
+        st.sampled_from([(), (1.5,), (0.0, 2.25), (-3e-7, 1e9)]),
+        st.sampled_from([" ", ",", "\t", " , "])), max_size=10))
+    def test_trace_round_trip(self, rows):
+        rows = [row for row in rows if row[0] != row[1]]
+        lines = [sep.join([a, b, *map(repr, times)])
+                 for a, b, times, sep in rows]
+        assert parse_trace(lines) == [TraceRecord(a, b, *times)
+                                      for a, b, times, _ in rows]
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(lines=st.lists(LINES, max_size=8))
+    def test_trace_arbitrary_text(self, lines):
+        try:
+            records = parse_trace(lines)
+        except TraceParseError as exc:
+            assert str(exc).startswith(f"line {exc.line_number}: ")
+            assert _content_line(lines[exc.line_number - 1])
+        else:
+            assert all(isinstance(r, TraceRecord) for r in records)
