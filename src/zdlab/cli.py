@@ -543,6 +543,11 @@ def main(argv=None) -> int:
     except (ZdlabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # dense V x V arrays (adjacency, betweenness) outgrow large graphs
+        print(f"error: not enough memory ({str(exc) or 'allocation failed'})",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

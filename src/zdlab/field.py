@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import PayoffScale
-from .graphs import Graph, adjacency_matrix  # noqa: F401  (re-exported)
+from .graphs import Graph, shared_adjacency
+from .graphs import adjacency_matrix  # noqa: F401  (re-exported)
 
 
 @dataclass(frozen=True)
@@ -123,13 +124,34 @@ def _coop_table(scale: PayoffScale, max_degree: int) -> np.ndarray:
     return table
 
 
-def objective_from_mask(adj: np.ndarray, masks: np.ndarray,
+@functools.lru_cache(maxsize=1)
+def _placement_tables(g: Graph, scale: PayoffScale):
+    """The kernel's tables ``(adj_w, base, q)`` for the last (graph, scale).
+
+    ``adj_w`` is the adjacency with ``W = max_degree + 1`` on its diagonal,
+    so ``mask @ adj_w`` counts a node's ZD neighbours and adds W when the
+    node is itself ZD. ``base[u] = 2 W u`` offsets node u into the flat
+    (V, 2W) table ``q``: ``q[u, m]`` is u's cooperation probability with m
+    ZD neighbours, from :func:`_coop_table`, and 0.0 for m >= W.
+    """
+    degrees = g.degrees
+    width = int(degrees.max()) + 1
+    adj_w = shared_adjacency(g).copy()
+    np.fill_diagonal(adj_w, width)
+    base = 2.0 * width * np.arange(g.n)
+    m = np.arange(width)
+    has_regular = (m < degrees[:, None]).astype(np.intp)
+    q = np.zeros((g.n, 2 * width))
+    q[:, :width] = _coop_table(scale, width - 1)[has_regular, m]
+    for table in (adj_w, base, q):
+        table.flags.writeable = False
+    return adj_w, base, q.ravel()
+
+
+def objective_from_mask(g: Graph, masks: np.ndarray,
                         scale: PayoffScale) -> np.ndarray:
-    """Placement objective of every row of a (P, V) boolean population;
-    the per-node terms come from :func:`node_delta`, as in
-    :func:`evaluate`. Returns shape (P,)."""
-    degrees = adj.sum(axis=0)
-    n_zd = (masks @ adj).astype(np.intp)
-    has_regular = (n_zd < degrees).astype(np.intp)
-    q = _coop_table(scale, int(degrees.max()))[has_regular, n_zd]
-    return np.where(masks, 0.0, q).sum(axis=1)
+    """Placement objective of every row of a (P, V) boolean population on
+    ``g``; the per-node terms come from :func:`node_delta`, as in
+    :func:`evaluate`, and ZD nodes add 0.0. Returns shape (P,)."""
+    adj_w, base, q = _placement_tables(g, scale)
+    return q.take((masks @ adj_w + base).astype(np.intp)).sum(axis=1)

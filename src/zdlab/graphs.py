@@ -248,7 +248,7 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def shared_adjacency(g: Graph) -> np.ndarray:
     """The last graph's :func:`adjacency_matrix`, built once and shared by
-    :func:`betweenness` and the optimizers."""
+    :func:`betweenness` and the placement kernel's tables."""
     return adjacency_matrix(g)
 
 

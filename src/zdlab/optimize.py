@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ExhaustiveCapError
 from .field import Deployment, objective_from_mask
 from .game import PayoffScale
-from .graphs import Graph, betweenness, shared_adjacency
+from .graphs import Graph, betweenness
 
 # mask elements scored per exhaustive-search block
 EXHAUSTIVE_BLOCK = 8192
@@ -54,9 +54,16 @@ def fix_k(masks: np.ndarray, k: int, rng) -> np.ndarray:
     with fewer keeps all of them plus uniformly random unset bits.
     """
     keys = rng.random(masks.shape) + ~masks  # set bits sort first
-    keep = np.argpartition(keys, k - 1, axis=1)[:, :k]
-    out = np.zeros(masks.shape, dtype=bool)
-    np.put_along_axis(out, keep, True, axis=1)
+    out = keys <= np.partition(keys, k - 1, axis=1)[:, k - 1:k]
+    # a key tied with the k-th smallest leaves a row with more than k bits;
+    # such rows keep the k that argpartition picks, the rule the GA's
+    # random stream is pinned to
+    tied = np.flatnonzero(out.sum(axis=1) != k)
+    if tied.size:
+        keep = np.argpartition(keys[tied], k - 1, axis=1)[:, :k]
+        rows = np.zeros((tied.size, masks.shape[1]), dtype=bool)
+        np.put_along_axis(rows, keep, True, axis=1)
+        out[tied] = rows
     return out
 
 
@@ -79,7 +86,6 @@ def optimize_ga(g: Graph, k: int, scale: PayoffScale,
     """
     _check_k(g, k)
     rng = np.random.default_rng(cfg.seed)
-    adj = shared_adjacency(g)
     n, size = g.n, cfg.population_size
     mutation_rate = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / n
     n_children = size - cfg.elitism_count
@@ -88,7 +94,7 @@ def optimize_ga(g: Graph, k: int, scale: PayoffScale,
                        _top_k_mask(betweenness(g), k)])
     population = np.concatenate(
         [seeded, fix_k(np.zeros((size - len(seeded), n), dtype=bool), k, rng)])
-    scores = objective_from_mask(adj, population, scale)
+    scores = objective_from_mask(g, population, scale)
 
     history = []
     for _ in range(cfg.generations):
@@ -98,10 +104,10 @@ def optimize_ga(g: Graph, k: int, scale: PayoffScale,
         parent_a, parent_b = population[np.take_along_axis(picks, won, 2)[..., 0]]
         crossed = rng.random(n_children) < cfg.crossover_rate
         take_b = (rng.random((n_children, n)) < 0.5) & crossed[:, None]
-        children = np.where(take_b, parent_b, parent_a)
+        children = parent_a ^ ((parent_a ^ parent_b) & take_b)
         children ^= rng.random((n_children, n)) < mutation_rate
         population = np.concatenate([elite, fix_k(children, k, rng)])
-        scores = objective_from_mask(adj, population, scale)
+        scores = objective_from_mask(g, population, scale)
         history.append(float(scores.max()))
 
     best = int(np.argmax(scores))
@@ -122,7 +128,6 @@ def optimize_exhaustive(g: Graph, k: int, scale: PayoffScale,
         raise ExhaustiveCapError(
             f"{total} candidate subsets exceed the cap of {cap}"
         )
-    adj = shared_adjacency(g)
     rows = max(1, EXHAUSTIVE_BLOCK // g.n)
     subsets = combinations(range(g.n), k)
     best_set, best_score, seen_max = None, -math.inf, -math.inf
@@ -130,7 +135,7 @@ def optimize_exhaustive(g: Graph, k: int, scale: PayoffScale,
                              dtype=np.intp)).size:
         masks = np.zeros((len(block), g.n), dtype=bool)
         np.put_along_axis(masks, block, True, axis=1)
-        scores = objective_from_mask(adj, masks, scale)
+        scores = objective_from_mask(g, masks, scale)
         # objectives are nonnegative, so the tie margin grows with the best
         # and only a strict running maximum can replace it: step through
         # those records with the sequential rule

@@ -7,6 +7,7 @@ import statistics
 import pytest
 
 import zdlab.alliance
+import zdlab.graphs
 from zdlab.cli import (CSV_VERSION, SWEEP_COLUMNS, load_config, main,
                        run_sweep, write_sweep_csv)
 from zdlab.errors import ConfigError, ConvergenceError
@@ -224,6 +225,22 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("detail", [
+        "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"
+        " and data type float64", ""])
+    def test_memory_error_exit_code(self, tmp_path, monkeypatch, capsys,
+                                    detail):
+        def oversized(g):
+            raise MemoryError(detail)
+
+        gpath = tmp_path / "ring.txt"
+        Graph(3, [(0, 1), (1, 2), (2, 0)]).write(gpath)
+        monkeypatch.setattr(zdlab.graphs, "betweenness", oversized)
+        assert main(["metrics", "--graph", str(gpath)]) == 2
+        err = capsys.readouterr().err
+        expected = detail or "allocation failed"
+        assert err == f"error: not enough memory ({expected})\n"
 
     @pytest.mark.parametrize("command", ["synth", "verify"])
     def test_player_cap_exit_code(self, capsys, command):

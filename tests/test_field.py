@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zdlab.field import (Deployment, adjacency_matrix, coop_probability,
-                         cooperator_ratio, evaluate, node_delta,
-                         objective_from_mask)
+from zdlab.field import (Deployment, _coop_table, adjacency_matrix,
+                         coop_probability, cooperator_ratio, evaluate,
+                         node_delta, objective_from_mask)
 from zdlab.game import PayoffScale
 from zdlab.graphs import (TOPOLOGIES, Graph, TraceRecord, generate,
                           ingest_trace)
@@ -96,6 +96,19 @@ class TestRatios:
             cooperator_ratio(dep, "monte_carlo", rounds=0)
 
 
+def where_objective(g, masks, scale):
+    """Reference kernel: ZD-neighbour counts from the plain adjacency, one
+    gather from the (2, max_degree + 1) table, ZD nodes zeroed by
+    ``np.where``. The per-graph table kernel must sum the same values in
+    the same order."""
+    adj = adjacency_matrix(g)
+    degrees = adj.sum(axis=0)
+    n_zd = (masks @ adj).astype(np.intp)
+    has_regular = (n_zd < degrees).astype(np.intp)
+    q = _coop_table(scale, int(degrees.max()))[has_regular, n_zd]
+    return np.where(masks, 0.0, q).sum(axis=1)
+
+
 def _population(g, rows):
     masks = np.zeros((len(rows), g.n), dtype=bool)
     for mask, nodes in zip(masks, rows):
@@ -135,10 +148,9 @@ class TestMaskObjective:
         rng = np.random.default_rng(8)
         for seed in range(4):
             g = generate("mesh", 15, seed=seed)
-            adj = adjacency_matrix(g)
             rows = [rng.choice(15, size=int(rng.integers(1, 8)), replace=False)
                     for _ in range(10)]
-            scores = objective_from_mask(adj, _population(g, rows), SCALE)
+            scores = objective_from_mask(g, _population(g, rows), SCALE)
             for score, nodes in zip(scores, rows):
                 dep = Deployment(g, frozenset(nodes.tolist()), SCALE)
                 assert score == pytest.approx(evaluate(dep).objective)
@@ -147,9 +159,10 @@ class TestMaskObjective:
     @given(case=graphs_with_populations())
     def test_population_kernel_matches_evaluate(self, case):
         g, rows = case
-        scores = objective_from_mask(adjacency_matrix(g), _population(g, rows),
-                                     SCALE)
+        masks = _population(g, rows)
+        scores = objective_from_mask(g, masks, SCALE)
         assert scores.shape == (len(rows),)
+        assert (scores == where_objective(g, masks, SCALE)).all()
         for score, nodes in zip(scores, rows):
             exact = evaluate(Deployment(g, frozenset(nodes), SCALE)).objective
             assert abs(score - exact) <= 1e-9

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import combinations
 
@@ -101,6 +102,56 @@ class TestExhaustive:
                 assert best_set == frozenset(order[5])
 
 
+# sha256 prefixes of GA output as "sorted set|repr(objective)|history" per
+# (topology, V, graph seed, K, population, generations), GA seed 7, and of
+# exhaustive output as "sorted set|repr(objective)" per (mesh-20 seed, K);
+# they pin the GA's random stream and the kernel's scores bit for bit
+GOLDEN_GA = {
+    ("mesh", 80, 1, 1, 50, 40): "70fdefd926d95862",
+    ("mesh", 80, 1, 5, 100, 300): "7fb15071c2b89dd3",
+    ("mesh", 40, 3, 10, 50, 40): "88c6b5cf34b94ee9",
+    ("ring", 80, 0, 1, 100, 300): "645f8f6b6830c08e",
+    ("ring", 40, 0, 5, 50, 40): "db3f481b4331a941",
+    ("ring", 80, 0, 10, 50, 40): "23893f3ea4703c50",
+    ("tree", 80, 0, 1, 50, 40): "b2503ec83a9ea01a",
+    ("tree", 40, 0, 5, 50, 40): "99fca8efa8cafb47",
+    ("tree", 80, 0, 10, 100, 300): "911340a52615faf4",
+    ("star", 40, 0, 1, 50, 40): "f5b38ed0e6316238",
+    ("star", 80, 0, 5, 50, 40): "ae6ce9e1612646a2",
+    ("star", 80, 0, 10, 100, 300): "eb1fa289bb91835b",
+}
+GOLDEN_EXHAUSTIVE = {
+    (0, 2): "6c8cdfc91ae62986",
+    (1, 3): "dba11f43d4c88390",
+    (2, 4): "4baacb4137f08a42",
+}
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestGolden:
+    @pytest.mark.parametrize("case", list(GOLDEN_GA))
+    def test_ga_output(self, case):
+        topology, n, graph_seed, k, population, generations = case
+        dep, objective, history = optimize_ga(
+            generate(topology, n, seed=graph_seed), k, SCALE,
+            GAConfig(population_size=population, generations=generations,
+                     seed=7))
+        text = (f"{sorted(dep.zd_nodes)}|{objective!r}|"
+                f"{','.join(map(repr, history))}")
+        assert _digest(text) == GOLDEN_GA[case]
+
+    @pytest.mark.parametrize("case", list(GOLDEN_EXHAUSTIVE))
+    def test_exhaustive_output(self, case):
+        graph_seed, k = case
+        g = generate("mesh", 20, seed=graph_seed)
+        dep, objective = optimize_exhaustive(g, k, SCALE)
+        text = f"{sorted(dep.zd_nodes)}|{objective!r}"
+        assert _digest(text) == GOLDEN_EXHAUSTIVE[case]
+
+
 class TestGA:
     def test_star_hub_found(self):
         dep, score, history = optimize_ga(generate("star", 40), 1, SCALE, FAST)
@@ -173,3 +224,30 @@ class TestFixK:
             # unset bit gains with chance (k-6)/6
             freq = fixed[:, :6].mean(axis=0) if k < 6 else fixed[:, 6:].mean(axis=0)
             assert np.abs(freq - share).max() < 0.02
+
+    def test_ties_match_argpartition_rule(self):
+        class GridRng:
+            """Keys on a 1/8 grid, so the k-th smallest key is often tied."""
+
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+
+            def random(self, shape):
+                return self.rng.integers(0, 8, size=shape) / 8
+
+        def argpartition_fix_k(masks, k, rng):
+            keys = rng.random(masks.shape) + ~masks
+            keep = np.argpartition(keys, k - 1, axis=1)[:, :k]
+            out = np.zeros(masks.shape, dtype=bool)
+            np.put_along_axis(out, keep, True, axis=1)
+            return out
+
+        rng = np.random.default_rng(5)
+        masks = rng.random((500, 24)) < rng.random((500, 1))
+        for k in (1, 4, 12, 23):
+            keys = GridRng(k).random(masks.shape) + ~masks
+            kth = np.partition(keys, k - 1, axis=1)[:, k - 1:k]
+            assert ((keys <= kth).sum(axis=1) != k).any()  # ties do occur
+            fixed = fix_k(masks, k, GridRng(k))
+            assert (fixed.sum(axis=1) == k).all()
+            assert (fixed == argpartition_fix_k(masks, k, GridRng(k))).all()
