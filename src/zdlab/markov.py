@@ -8,6 +8,7 @@ coupled alliance lives on its 2^(N - n_alliance + 1) unison profiles.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,14 +278,18 @@ def _dense_stationary(m):
     return sol / total
 
 
-def zd_determinant(tm: TransitionMatrix, f, pivot_leader: int) -> float:
-    """Determinant whose ratio against the all-ones vector equals v . f.
+@functools.lru_cache(maxsize=None)
+def _pivot_cooperates(n_players: int, pivot_leader: int) -> np.ndarray:
+    """Read-only mask of the states in which the pivot leader cooperated."""
+    coop = state_bits(n_players)[:, pivot_leader] == 1
+    coop.flags.writeable = False
+    return coop
 
-    Column of the state where only ``pivot_leader`` cooperates is replaced
-    by the pivot leader's net-cooperation column (its conditional
-    cooperation probability, minus one on rows where it cooperated); the
-    all-defect column carries ``f``.
-    """
+
+def _zd_matrices(tm: TransitionMatrix, columns, pivot_leader: int):
+    """The matrices of :func:`zd_determinant`, one per row of ``columns``
+    (a (B, n_states) stack of f vectors), as a (B, n_states, n_states)
+    array."""
     shape = tm.shape
     if tm.lumped:
         raise ValueError("determinant evaluation needs the full chain")
@@ -294,27 +299,41 @@ def zd_determinant(tm: TransitionMatrix, f, pivot_leader: int) -> float:
         )
     if not 0 <= pivot_leader < shape.n_leaders:
         raise ValueError("pivot must be a leader index")
-    f = np.asarray(f, dtype=float)
-    if f.shape != (shape.n_states,):
+    if columns.shape[1:] != (shape.n_states,):
         raise ValueError("payoff vector length must match the state space")
 
-    pivot_state = 1 << pivot_leader
-    bits = state_bits(shape.n_players)
-    coop = bits[:, pivot_leader] == 1
-    a = tm.matrix - np.eye(shape.n_states)
-    a[:, pivot_state] = tm.matrix[:, coop].sum(axis=1) - coop
-    a[:, 0] = f
-    return float(np.linalg.det(a))
+    coop = _pivot_cooperates(shape.n_players, pivot_leader)
+    a = np.repeat(tm.matrix[None], len(columns), axis=0)
+    diagonal = np.arange(shape.n_states)
+    a[:, diagonal, diagonal] -= 1.0
+    a[:, :, 1 << pivot_leader] = tm.matrix[:, coop].sum(axis=1) - coop
+    a[:, :, 0] = columns
+    return a
+
+
+def zd_determinant(tm: TransitionMatrix, f, pivot_leader: int) -> float:
+    """Determinant whose ratio against the all-ones vector equals v . f.
+
+    Column of the state where only ``pivot_leader`` cooperates is replaced
+    by the pivot leader's net-cooperation column (its conditional
+    cooperation probability, minus one on rows where it cooperated); the
+    all-defect column carries ``f``.
+    """
+    columns = np.asarray(f, dtype=float)[None]
+    return float(np.linalg.det(_zd_matrices(tm, columns, pivot_leader))[0])
 
 
 def determinant_dot(tm: TransitionMatrix, f, pivot_leader: int) -> float:
-    """v . f computed through the determinant route."""
-    norm = zd_determinant(tm, np.ones(tm.shape.n_states), pivot_leader)
+    """v . f computed through the determinant route: the all-ones
+    normalization and the f determinant in one stacked ``det``."""
+    f = np.asarray(f, dtype=float)
+    columns = np.stack([np.ones_like(f), f])
+    norm, det_f = np.linalg.det(_zd_matrices(tm, columns, pivot_leader))
     if abs(norm) < 1e-12:
         raise DegenerateChainError(
             f"determinant normalization {norm:.3e} too small"
         )
-    return zd_determinant(tm, f, pivot_leader) / norm
+    return float(det_f / norm)
 
 
 def expected_payoffs(shape: GameShape, sv: StationaryVector,

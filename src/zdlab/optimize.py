@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
 
 import numpy as np
 
@@ -96,12 +95,14 @@ def optimize_ga(g: Graph, k: int, scale: PayoffScale,
         [seeded, fix_k(np.zeros((size - len(seeded), n), dtype=bool), k, rng)])
     scores = objective_from_mask(g, population, scale)
 
+    # index arrays that pick each tournament's winner out of ``picks``
+    pair, child = np.arange(2)[:, None], np.arange(n_children)
     history = []
     for _ in range(cfg.generations):
         elite = population[np.argsort(-scores, kind="stable")[:cfg.elitism_count]]
         picks = rng.integers(0, size, size=(2, n_children, cfg.tournament_size))
-        won = np.argmax(scores[picks], axis=2)[..., None]
-        parent_a, parent_b = population[np.take_along_axis(picks, won, 2)[..., 0]]
+        won = np.argmax(scores[picks], axis=2)
+        parent_a, parent_b = population[picks[pair, child, won]]
         crossed = rng.random(n_children) < cfg.crossover_rate
         take_b = (rng.random((n_children, n)) < 0.5) & crossed[:, None]
         children = parent_a ^ ((parent_a ^ parent_b) & take_b)
@@ -114,6 +115,33 @@ def optimize_ga(g: Graph, k: int, scale: PayoffScale,
     zd_nodes = frozenset(np.flatnonzero(population[best]).tolist())
     dep = Deployment(g, zd_nodes, scale)
     return dep, float(scores[best]), history
+
+
+def lex_combinations(n: int, k: int, rows: int):
+    """The k-subsets of range(n) in lexicographic order, as (rows, k)
+    arrays of ascending elements (the last block may be shorter).
+
+    Each block is unranked with the combinatorial number system (Knuth,
+    TAOCP 4A, 7.2.1.3): the subset a_0 < .. < a_{k-1} at rank r maps to
+    b_i = n-1-a_i with sum_i C(b_i, k-i) = C(n, k)-1-r, so each b_i is the
+    largest b with C(b, k-i) at most what is left of that sum.
+    """
+    total = math.comb(n, k)
+    # C(b, j) capped at the total: rows stay nondecreasing, a capped entry
+    # exceeds every sum searched for, and no entry overflows int64 (C(79, 39)
+    # alone is about 5e22)
+    table = np.array([[min(math.comb(b, j), total) for b in range(n)]
+                      for j in range(k + 1)], dtype=np.int64)
+    steps = np.arange(rows, dtype=np.int64)
+    for start in range(0, total, rows):
+        left = (total - 1 - start) - steps[:total - start]
+        block = np.empty((len(left), k), dtype=np.intp)
+        for i in range(k):
+            row = table[k - i]
+            b = np.searchsorted(row, left, side="right") - 1
+            left -= row[b]
+            block[:, i] = n - 1 - b
+        yield block
 
 
 def optimize_exhaustive(g: Graph, k: int, scale: PayoffScale,
@@ -129,10 +157,8 @@ def optimize_exhaustive(g: Graph, k: int, scale: PayoffScale,
             f"{total} candidate subsets exceed the cap of {cap}"
         )
     rows = max(1, EXHAUSTIVE_BLOCK // g.n)
-    subsets = combinations(range(g.n), k)
     best_set, best_score, seen_max = None, -math.inf, -math.inf
-    while (block := np.array(list(islice(subsets, rows)),
-                             dtype=np.intp)).size:
+    for block in lex_combinations(g.n, k, rows):
         masks = np.zeros((len(block), g.n), dtype=bool)
         np.put_along_axis(masks, block, True, axis=1)
         scores = objective_from_mask(g, masks, scale)

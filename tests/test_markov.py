@@ -272,6 +272,25 @@ class TestDeterminant:
             assert determinant_dot(tm, pv.outsiders, pivot) == pytest.approx(
                 oracle, abs=1e-8)
 
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_dot_is_ratio_of_determinants(self, coupled):
+        # the stacked route gives bit for bit the ratio of two single ones
+        rng = np.random.default_rng(4)
+        for n in range(2, 7):
+            for n_leaders in range(1, n + 1):
+                shape = GameShape(n, n_leaders, min(2, n_leaders, n - 1),
+                                  2.0 * n)
+                pv = payoff_vectors(shape)
+                leaders, followers = random_profile(shape, rng)
+                tm = build_transition_matrix(shape, leaders, followers,
+                                             coupled)
+                ones = np.ones(shape.n_states)
+                for pivot in range(n_leaders):
+                    for f in (pv.alliance, pv.outsiders):
+                        assert determinant_dot(tm, f, pivot) == (
+                            zd_determinant(tm, f, pivot)
+                            / zd_determinant(tm, ones, pivot))
+
     def test_pivot_must_be_leader(self):
         rng = np.random.default_rng(2)
         leaders, followers = random_profile(FIG_SHAPE, rng)

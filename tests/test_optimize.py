@@ -10,7 +10,8 @@ from zdlab.field import Deployment, evaluate
 from zdlab.game import PayoffScale
 from zdlab.graphs import generate
 from zdlab.optimize import (ExhaustiveCapError, GAConfig, fix_k,
-                            optimize_exhaustive, optimize_ga)
+                            lex_combinations, optimize_exhaustive,
+                            optimize_ga)
 
 SCALE = PayoffScale(2, 1, 3)
 FAST = GAConfig(population_size=40, generations=40, seed=0)
@@ -52,10 +53,42 @@ class TestExhaustive:
             optimize_exhaustive(generate("mesh", 60, seed=0), 30, SCALE,
                                 cap=1000)
 
+    def test_cap_raises_before_enumeration(self, monkeypatch):
+        def enumerate_nothing(*args):
+            raise AssertionError("subsets enumerated past the cap")
+
+        monkeypatch.setattr(optimize, "lex_combinations", enumerate_nothing)
+        # C(80, 40) is about 1e23, beyond int64
+        for n, k in ((60, 30), (80, 40)):
+            with pytest.raises(ExhaustiveCapError):
+                optimize_exhaustive(generate("mesh", n, seed=0), k, SCALE,
+                                    cap=1000)
+
     def test_bad_k(self):
         for k in (0, 5, 6):
             with pytest.raises(ValueError):
                 optimize_exhaustive(generate("ring", 5), k, SCALE)
+
+    @pytest.mark.parametrize("rows", [1, 7, 5000])
+    def test_lex_combinations_match_itertools(self, rows):
+        for n in range(1, 13):
+            for k in range(1, n + 1):
+                blocks = list(lex_combinations(n, k, rows))
+                assert all(len(b) == rows for b in blocks[:-1])
+                got = np.concatenate(blocks)
+                assert got.dtype == np.intp
+                assert got.tolist() == [list(c) for c in
+                                        combinations(range(n), k)]
+
+    # unclamped, C(69, 34) and C(79, 39) overflow int64
+    @pytest.mark.parametrize("n,k", [(70, 68), (80, 1), (80, 2), (80, 78),
+                                     (80, 79)])
+    def test_matches_sequential_reference_near_v(self, n, k):
+        g = generate("mesh", n, seed=2)
+        dep, score = optimize_exhaustive(g, k, SCALE)
+        best_set, best = sequential_exhaustive(g, k)
+        assert dep.zd_nodes == best_set
+        assert score == pytest.approx(best, rel=1e-12)
 
     # block sizes in mask elements: one subset, a few subsets, the default
     @pytest.mark.parametrize("block", [1, 40, 8192])
