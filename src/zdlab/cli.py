@@ -162,8 +162,9 @@ def load_config(doc: dict) -> ExperimentConfig:
     if ratio_mode not in ("expected", "monte_carlo"):
         raise ConfigError(f"unknown ratio mode {ratio_mode!r}")
     ratio_rounds = _typed(ratio_doc, "rounds", _INT, "ratio", 1000)
-    if ratio_rounds < 1:
-        raise ConfigError("ratio rounds must be positive")
+    # the Monte Carlo draw takes its round count as a 64-bit integer
+    if not 1 <= ratio_rounds <= 2**63 - 1:
+        raise ConfigError("ratio rounds must lie in 1..2**63 - 1")
 
     repetitions = _typed(doc, "repetitions", _INT, "config", 30)
     if repetitions < 1:
@@ -228,7 +229,7 @@ def run_sweep(cfg: ExperimentConfig):
                 "expected_ratio": expected,
                 "monte_carlo_ratio": mc,
                 "zd_set": ";".join(str(u) for u in zd_sorted),
-                "zd_mean_degree": sum(g.degree(u) for u in zd_sorted) / k,
+                "zd_mean_degree": int(g.degrees[zd_sorted].sum()) / k,
                 "zd_mean_betweenness":
                     sum(node_betweenness[u] for u in zd_sorted) / k,
                 "wall_ms": wall_ms,
@@ -409,10 +410,9 @@ def cmd_field(args):
     scale = PayoffScale(args.scale_a, args.scale_k, args.scale_b)
     dep = Deployment(g, _parse_zd_nodes(args.zd), scale)
     result = evaluate(dep)
-    for u in sorted(result.nodes):
-        info = result.nodes[u]
-        print(f"{u} zd_neighbors={info.zd_neighbors} "
-              f"delta={_fmt(info.delta)} q={_fmt(info.coop_prob)}")
+    for u in np.flatnonzero(~result.zd).tolist():
+        print(f"{u} zd_neighbors={result.zd_neighbors[u]} "
+              f"delta={_fmt(result.delta[u])} q={_fmt(result.q[u])}")
     print(f"objective {_fmt(result.objective)}")
     print(f"mean_regular {_fmt(result.mean_regular)}")
     print(f"expected_ratio {_fmt(cooperator_ratio(dep))}")

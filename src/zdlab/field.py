@@ -35,16 +35,16 @@ class Deployment:
 
 
 @dataclass(frozen=True)
-class NodeIncentive:
-    zd_neighbors: int
-    has_regular_neighbors: bool
-    delta: float
-    coop_prob: float
-
-
-@dataclass(frozen=True)
 class FieldResult:
-    nodes: dict
+    """Read-only per-node arrays of length V: the ZD mask, ZD-neighbour
+    counts, and a regular node's log-odds ``delta`` and cooperation
+    probability ``q`` (NaN and 0.0 on ZD nodes); ``objective`` is
+    ``q.sum()``."""
+
+    zd: np.ndarray
+    zd_neighbors: np.ndarray
+    delta: np.ndarray
+    q: np.ndarray
     objective: float
     mean_regular: float
 
@@ -72,23 +72,25 @@ def coop_probability(delta: float) -> float:
 
 def evaluate(dep: Deployment) -> FieldResult:
     """Per-node cooperation probabilities and the placement objective
-    (sum of regular nodes' probabilities; ZD nodes are excluded)."""
-    g, zd = dep.graph, dep.zd_nodes
-    nodes = {}
-    objective = 0.0
-    for u in range(g.n):
-        if u in zd:
-            continue
-        neigh = g.neighbors(u)
-        n_zd = sum(1 for v in neigh if v in zd)
-        has_regular = len(neigh) > n_zd
-        delta = node_delta(n_zd, has_regular, dep.scale)
-        q = coop_probability(delta)
-        nodes[u] = NodeIncentive(n_zd, has_regular, delta, q)
-        objective += q
-    regular = g.n - len(zd)
+    (sum of regular nodes' probabilities; ZD nodes are excluded), in
+    O(V + E) from the CSR arcs. The values and their summation order are
+    those of :func:`objective_from_mask`, so the objectives are equal."""
+    g = dep.graph
+    zd = np.zeros(g.n, dtype=bool)
+    zd[list(dep.zd_nodes)] = True
+    degrees = g.degrees
+    arc_source = np.repeat(np.arange(g.n), degrees)
+    zd_neighbors = np.bincount(arc_source[zd[g.indices]], minlength=g.n)
+    has_regular = (zd_neighbors < degrees).astype(np.intp)
+    delta, q = _coop_table(dep.scale, int(degrees.max()))
+    delta = np.where(zd, np.nan, delta[has_regular, zd_neighbors])
+    q = np.where(zd, 0.0, q[has_regular, zd_neighbors])
+    for values in (zd, zd_neighbors, delta, q):
+        values.flags.writeable = False
+    objective = float(q.sum())
+    regular = g.n - len(dep.zd_nodes)
     mean = objective / regular if regular else math.nan
-    return FieldResult(nodes, objective, mean)
+    return FieldResult(zd, zd_neighbors, delta, q, objective, mean)
 
 
 def cooperator_ratio(dep: Deployment, mode: str = "expected",
@@ -98,30 +100,31 @@ def cooperator_ratio(dep: Deployment, mode: str = "expected",
     ``expected`` averages the probabilities directly; ``monte_carlo``
     samples each regular node's action per round and averages over rounds.
     """
+    if mode not in ("expected", "monte_carlo"):
+        raise ValueError(f"unknown ratio mode {mode!r}")
+    if mode == "monte_carlo" and rounds < 1:
+        raise ValueError("monte carlo needs at least one round")
     result = evaluate(dep)
     k = len(dep.zd_nodes)
     n = dep.graph.n
     if mode == "expected":
         return (k + result.objective) / n
-    if mode != "monte_carlo":
-        raise ValueError(f"unknown ratio mode {mode!r}")
-    if rounds < 1:
-        raise ValueError("monte carlo needs at least one round")
-    rng = np.random.default_rng(seed)
-    coops = k * rounds
-    for info in result.nodes.values():
-        coops += int(rng.binomial(rounds, info.coop_prob))
-    return coops / (n * rounds)
+    # one draw per regular node in node order, summed without overflow
+    coops = np.random.default_rng(seed).binomial(rounds, result.q[~result.zd])
+    return (k * rounds + sum(coops.tolist())) / (n * rounds)
 
 
 @functools.lru_cache(maxsize=8)
-def _coop_table(scale: PayoffScale, max_degree: int) -> np.ndarray:
-    """Cooperation probability of a regular node indexed by
-    ``[has_regular_neighbors, zd_neighbors]``, shape (2, max_degree + 1)."""
-    table = np.array([[coop_probability(node_delta(m, bool(h), scale))
+def _coop_table(scale: PayoffScale, max_degree: int):
+    """A regular node's ``(delta, q)`` from :func:`node_delta` and
+    :func:`coop_probability`, each indexed by ``[has_regular_neighbors,
+    zd_neighbors]`` with shape (2, max_degree + 1)."""
+    delta = np.array([[node_delta(m, bool(h), scale)
                        for m in range(max_degree + 1)] for h in (0, 1)])
-    table.flags.writeable = False
-    return table
+    q = np.array([[coop_probability(d) for d in row] for row in delta])
+    for table in (delta, q):
+        table.flags.writeable = False
+    return delta, q
 
 
 @functools.lru_cache(maxsize=1)
@@ -142,7 +145,7 @@ def _placement_tables(g: Graph, scale: PayoffScale):
     m = np.arange(width)
     has_regular = (m < degrees[:, None]).astype(np.intp)
     q = np.zeros((g.n, 2 * width))
-    q[:, :width] = _coop_table(scale, width - 1)[has_regular, m]
+    q[:, :width] = _coop_table(scale, width - 1)[1][has_regular, m]
     for table in (adj_w, base, q):
         table.flags.writeable = False
     return adj_w, base, q.ravel()
@@ -151,7 +154,7 @@ def _placement_tables(g: Graph, scale: PayoffScale):
 def objective_from_mask(g: Graph, masks: np.ndarray,
                         scale: PayoffScale) -> np.ndarray:
     """Placement objective of every row of a (P, V) boolean population on
-    ``g``; the per-node terms come from :func:`node_delta`, as in
+    ``g``; the per-node terms and their order are those of
     :func:`evaluate`, and ZD nodes add 0.0. Returns shape (P,)."""
     adj_w, base, q = _placement_tables(g, scale)
     return q.take((masks @ adj_w + base).astype(np.intp)).sum(axis=1)

@@ -80,22 +80,13 @@ class GameShape:
         return range(self.n_alliance)
 
 
-def state_actions(state: int, n_players: int) -> tuple[int, ...]:
-    """Unpack a state integer into per-player actions (bit i = player i)."""
-    return tuple((state >> i) & 1 for i in range(n_players))
-
-
 @functools.lru_cache(maxsize=None)
 def state_bits(n_players: int) -> np.ndarray:
-    """Read-only (2^n, n) table of every state's actions: row ``state`` is
-    ``state_actions(state, n_players)``."""
+    """Read-only (2^n, n) table of every state's actions: entry
+    ``[state, i]`` is bit i of ``state``, the action of player i."""
     bits = (np.arange(1 << n_players)[:, None] >> np.arange(n_players)) & 1
     bits.flags.writeable = False
     return bits
-
-
-def cooperator_count(state: int) -> int:
-    return state.bit_count()
 
 
 def utility(action: int, coop_neighbors: int, neighbor_count: int, r: float) -> float:

@@ -232,7 +232,7 @@ class DegreeStats:
 
 
 def degree_stats(g: Graph) -> DegreeStats:
-    degrees = tuple(g.degree(u) for u in range(g.n))
+    degrees = tuple(g.degrees.tolist())
     return DegreeStats(degrees, sum(degrees) / g.n)
 
 

@@ -30,6 +30,19 @@ def base_config(tmp_path=None, **overrides):
     return doc
 
 
+def strip_wall(path):
+    """CSV lines with the ``wall_ms`` cell of every data row blanked."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    idx = SWEEP_COLUMNS.index("wall_ms")
+    out = [lines[0], lines[1]]
+    for line in lines[2:]:
+        cells = line.split(",")
+        cells[idx] = ""
+        out.append(",".join(cells))
+    return out
+
+
 # every [s, x, y] index of a leader in a (4 players, 3 leaders) game
 FULL_TABLE = {f"[{s}, {x}, {y}]": 0.5
               for s in (0, 1) for x in range(3) for y in range(2)}
@@ -66,6 +79,10 @@ class TestLoadConfig:
             with pytest.raises(ConfigError):
                 load_config(base_config(**patch))
 
+    def test_largest_round_count(self, tmp_path):
+        cfg = load_config(base_config(tmp_path, ratio={"rounds": 2**63 - 1}))
+        assert cfg.ratio_rounds == 2**63 - 1
+
     def test_trace_topology(self, tmp_path):
         doc = base_config(tmp_path,
                           topology={"trace": "contacts.txt", "min_contacts": 3})
@@ -101,19 +118,18 @@ class TestSweep:
         cfg2 = load_config(base_config(tmp_path, output=str(tmp_path / "b.csv")))
         run_sweep(cfg1)
         run_sweep(cfg2)
-
-        def strip_wall(path):
-            with open(path) as fh:
-                lines = fh.read().splitlines()
-            idx = SWEEP_COLUMNS.index("wall_ms")
-            out = [lines[0], lines[1]]
-            for line in lines[2:]:
-                cells = line.split(",")
-                cells[idx] = ""
-                out.append(",".join(cells))
-            return out
-
         assert strip_wall(tmp_path / "a.csv") == strip_wall(tmp_path / "b.csv")
+
+    def test_monte_carlo_csv_golden(self, tmp_path):
+        # sha256 of a 2-repetition monte_carlo sweep CSV, wall_ms blanked
+        cfg = load_config(base_config(
+            tmp_path, topology={"type": "mesh", "n": 20, "seed": 2},
+            k_range={"min": 1, "max": 3},
+            ratio={"mode": "monte_carlo", "rounds": 1000}))
+        run_sweep(cfg)
+        text = "\n".join(strip_wall(cfg.output)) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8138d95d7b8a0e995148e0de3ebdb6e1d39b42fcfa67caa418544ff3a241071c")
 
     def test_k_must_fit_graph(self, tmp_path):
         cfg = load_config(base_config(tmp_path,
@@ -156,6 +172,30 @@ class TestMain:
                      "--exhaustive"]) == 0
         out = capsys.readouterr().out
         assert "zd_set 0" in out
+
+    @pytest.mark.parametrize("graph, zd, digest", [
+        (("star", 10, 0), "0",
+         "740f08b6697c5f810ab40f817dcc245c96959280a41770a10626cd05bf263387"),
+        (("mesh", 20, 3), "2,9,15",
+         "97b8ce97152e02d9ddedb9e6693ceff0d4288a16f038b70d5df3d5f22fdb524b"),
+        # node 5 is isolated; node 4's one neighbour is ZD
+        ([(0, 1), (1, 2), (2, 0), (3, 4)], "3",
+         "29be03dd048ed19626e205b48f09605a872f80ce565c727f568ecf25f27c18c4"),
+        (("mesh", 12, 1), "0,1,2,3,4,5,6,8,9,10,11",
+         "93af0d6757401d6b948d588f664f7bd838ab3194952290a81d4fbacb75e832df"),
+    ])
+    def test_field_output_golden(self, tmp_path, capsys, graph, zd, digest):
+        # sha256 of `zdlab field` stdout: the per-node lines, objective,
+        # mean_regular and expected_ratio
+        gpath = tmp_path / "g.txt"
+        if isinstance(graph, tuple):
+            kind, n, seed = graph
+            zdlab.graphs.generate(kind, n, seed=seed).write(gpath)
+        else:
+            Graph(6, graph).write(gpath)
+        assert main(["field", "--graph", str(gpath), "--zd", zd]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_ingest(self, tmp_path, capsys):
         trace = tmp_path / "trace.txt"
@@ -283,6 +323,9 @@ class TestMain:
         {"scale": {"b": math.inf}},
         {"topology": {"type": "mesh", "n": 12, "density": math.nan}},
         {"ga": {"crossover_rate": -math.inf}},
+        # the Monte Carlo draw takes a 64-bit round count
+        {"ratio": {"mode": "monte_carlo", "rounds": 10**21}},
+        {"ratio": {"mode": "monte_carlo", "rounds": 2**63}},
     ])
     def test_mistyped_config_exit_code(self, tmp_path, capsys, patch):
         cfg_path = tmp_path / "cfg.json"

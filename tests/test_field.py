@@ -1,18 +1,34 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zdlab.field import (Deployment, _coop_table, adjacency_matrix,
-                         coop_probability, cooperator_ratio, evaluate,
-                         node_delta, objective_from_mask)
+import zdlab.field
+from zdlab.field import (Deployment, adjacency_matrix, coop_probability,
+                         cooperator_ratio, evaluate, node_delta,
+                         objective_from_mask)
 from zdlab.game import PayoffScale
 from zdlab.graphs import (TOPOLOGIES, Graph, TraceRecord, generate,
                           ingest_trace)
 
 SCALE = PayoffScale(2, 1, 3)  # r(n) = 2n + 3
+
+
+def reference_q(g, zd_nodes, scale):
+    """Scalar per-node reference for :func:`evaluate` and the kernel: each
+    regular node's cooperation probability, keyed by node in ascending
+    order; the objective is the sum of the values in that order."""
+    q = {}
+    for u in range(g.n):
+        if u in zd_nodes:
+            continue
+        neigh = g.neighbors(u)
+        n_zd = sum(v in zd_nodes for v in neigh)
+        q[u] = coop_probability(node_delta(n_zd, len(neigh) > n_zd, scale))
+    return q
 
 
 class TestNodeDelta:
@@ -50,16 +66,25 @@ class TestEvaluate:
         leaf_q = math.e / (1 + math.e)
         assert result.objective == pytest.approx(79 * leaf_q)
         assert result.mean_regular == pytest.approx(leaf_q)
-        assert set(result.nodes) == set(range(1, 80))
+        assert result.zd.tolist() == [True] + [False] * 79
+        assert result.zd_neighbors.tolist() == [0] + [1] * 79
+        assert result.delta[1:].tolist() == [1.0] * 79
+        assert math.isnan(result.delta[0]) and result.q[0] == 0.0
 
     def test_ring_single_zd(self):
         dep = Deployment(generate("ring", 6), frozenset({0}), SCALE)
         result = evaluate(dep)
-        assert result.nodes[1].coop_prob == pytest.approx(0.5)
-        assert result.nodes[5].coop_prob == pytest.approx(0.5)
+        assert result.q[1] == pytest.approx(0.5)
+        assert result.q[5] == pytest.approx(0.5)
         for far in (2, 3, 4):
-            assert result.nodes[far].coop_prob == pytest.approx(1 / (1 + math.e))
+            assert result.q[far] == pytest.approx(1 / (1 + math.e))
         assert result.objective == pytest.approx(1.0 + 3 / (1 + math.e))
+
+    def test_arrays_read_only(self):
+        result = evaluate(Deployment(generate("ring", 6), {0}, SCALE))
+        for values in (result.zd, result.zd_neighbors, result.delta, result.q):
+            with pytest.raises(ValueError):
+                values[1] = 0
 
     def test_zd_nodes_excluded_from_objective(self):
         g = generate("ring", 6)
@@ -68,6 +93,24 @@ class TestEvaluate:
         full = evaluate(Deployment(g, frozenset(range(6)), SCALE))
         assert full.objective == 0.0
         assert math.isnan(full.mean_regular)
+
+    def test_large_sparse_graph(self):
+        # a V x V float64 matrix of this graph would need 320 GB
+        g = generate("ring", 200_000)
+        zd = frozenset(range(0, g.n, 7))
+        tracemalloc.start()
+        try:
+            result = evaluate(Deployment(g, zd, SCALE))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        q = reference_q(g, zd, SCALE)
+        # summed one by one, these 171,428 terms drift 2e-12 from the
+        # correctly rounded sum
+        exact = math.fsum(q.values())
+        assert result.objective == pytest.approx(exact, rel=1e-11)
+        assert result.mean_regular == pytest.approx(exact / len(q), rel=1e-11)
 
     def test_deployment_validation(self):
         with pytest.raises(ValueError):
@@ -88,25 +131,30 @@ class TestRatios:
         expected = cooperator_ratio(dep)
         assert abs(mc1 - expected) < 0.05
 
-    def test_bad_arguments(self):
+    @pytest.mark.parametrize("seed", range(6))
+    def test_monte_carlo_draws_per_node_stream(self, seed):
+        # one binomial per regular node in ascending order, as a loop of
+        # scalar draws from the same generator would take them
+        g = generate("mesh", 30, seed=seed)
+        zd = frozenset(range(seed, 30, 5))
+        rng = np.random.default_rng(seed)
+        coops = len(zd) * 700 + sum(int(rng.binomial(700, p)) for p in
+                                    reference_q(g, zd, SCALE).values())
+        dep = Deployment(g, zd, SCALE)
+        assert cooperator_ratio(dep, "monte_carlo", 700, seed) == (
+            coops / (g.n * 700))
+
+    def test_bad_arguments(self, monkeypatch):
+        # rejected before anything is evaluated
+        def fail(dep):
+            raise AssertionError("evaluated")
+
+        monkeypatch.setattr(zdlab.field, "evaluate", fail)
         dep = Deployment(generate("ring", 4), frozenset({0}), SCALE)
         with pytest.raises(ValueError):
             cooperator_ratio(dep, "bogus")
         with pytest.raises(ValueError):
             cooperator_ratio(dep, "monte_carlo", rounds=0)
-
-
-def where_objective(g, masks, scale):
-    """Reference kernel: ZD-neighbour counts from the plain adjacency, one
-    gather from the (2, max_degree + 1) table, ZD nodes zeroed by
-    ``np.where``. The per-graph table kernel must sum the same values in
-    the same order."""
-    adj = adjacency_matrix(g)
-    degrees = adj.sum(axis=0)
-    n_zd = (masks @ adj).astype(np.intp)
-    has_regular = (n_zd < degrees).astype(np.intp)
-    q = _coop_table(scale, int(degrees.max()))[has_regular, n_zd]
-    return np.where(masks, 0.0, q).sum(axis=1)
 
 
 def _population(g, rows):
@@ -153,19 +201,23 @@ class TestMaskObjective:
             scores = objective_from_mask(g, _population(g, rows), SCALE)
             for score, nodes in zip(scores, rows):
                 dep = Deployment(g, frozenset(nodes.tolist()), SCALE)
-                assert score == pytest.approx(evaluate(dep).objective)
+                assert score == evaluate(dep).objective
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=graphs_with_populations())
     def test_population_kernel_matches_evaluate(self, case):
+        # the kernel and evaluate sum the same values in the same order;
+        # the scalar reference sums them one by one
         g, rows = case
-        masks = _population(g, rows)
-        scores = objective_from_mask(g, masks, SCALE)
+        scores = objective_from_mask(g, _population(g, rows), SCALE)
         assert scores.shape == (len(rows),)
-        assert (scores == where_objective(g, masks, SCALE)).all()
         for score, nodes in zip(scores, rows):
-            exact = evaluate(Deployment(g, frozenset(nodes), SCALE)).objective
-            assert abs(score - exact) <= 1e-9
+            zd = frozenset(nodes)
+            result = evaluate(Deployment(g, zd, SCALE))
+            assert score == result.objective
+            q = reference_q(g, zd, SCALE)
+            assert result.q[list(q)].tolist() == list(q.values())
+            assert abs(score - sum(q.values())) <= 1e-9
 
     def test_adjacency_matrix(self):
         adj = adjacency_matrix(Graph(3, [(0, 1)]))

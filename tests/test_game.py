@@ -3,9 +3,8 @@ import math
 import pytest
 
 from zdlab.game import (GameShape, PayoffScale, alliance_unison_payoff,
-                        cooperator_count, is_social_dilemma,
-                        outsider_unison_payoff, payoff_vectors, state_actions,
-                        utility)
+                        is_social_dilemma, outsider_unison_payoff,
+                        payoff_vectors, state_bits, utility)
 
 R = 9.0
 FIG_SHAPE = GameShape(3, 2, 2, R)
@@ -124,10 +123,10 @@ class TestPayoffVectors:
                     shape = GameShape(n, nl, na, 2 * n + 3)
                     pv = payoff_vectors(shape)
                     for state in range(shape.n_states):
-                        acts = state_actions(state, n)
+                        acts = state_bits(n)[state].tolist()
                         if len(set(acts[:na])) != 1:
                             continue
-                        s, b = acts[0], cooperator_count(state)
+                        s, b = acts[0], sum(acts)
                         assert pv.alliance[state] == pytest.approx(
                             alliance_unison_payoff(s, b, shape))
                         assert pv.outsiders[state] == pytest.approx(
@@ -140,8 +139,8 @@ class TestPayoffVectors:
             na = shape.n_alliance
             pv = payoff_vectors(shape)
             for state in range(shape.n_states):
-                acts = state_actions(state, n)
-                b = cooperator_count(state)
+                acts = state_bits(n)[state].tolist()
+                b = sum(acts)
                 total = sum(utility(a, b - a, n - 1, shape.r) for a in acts)
                 recombined = na * pv.alliance[state] + (n - na) * pv.outsiders[state]
                 assert recombined == pytest.approx(total)

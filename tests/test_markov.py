@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from zdlab import markov
 from zdlab.errors import DegenerateChainError, StrategyTableError
-from zdlab.game import GameShape, payoff_vectors, state_actions
+from zdlab.game import GameShape, payoff_vectors, state_bits
 from zdlab.markov import (FollowerStrategy, LeaderStrategy,
                           build_lumped_matrix, build_transition_matrix,
                           determinant_dot, expected_payoffs,
@@ -65,11 +65,11 @@ class TestBuildMatrix:
         leaders[1] = LeaderStrategy(1, leaders[0].table)
         tm = build_transition_matrix(FIG_SHAPE, leaders, followers, True)
         for v in range(8):
-            acts_v = state_actions(v, 3)
+            acts_v = state_bits(3)[v]
             if acts_v[0] != acts_v[1]:
                 continue  # unison rows only
             for w in range(8):
-                acts_w = state_actions(w, 3)
+                acts_w = state_bits(3)[w]
                 if acts_w[0] != acts_w[1]:
                     assert tm.matrix[v, w] == 0.0
 
@@ -137,7 +137,7 @@ def _oracle_entry(shape, leaders, followers, coupling, v, w):
     alliance members with equal conditional probability form one group that
     acts in unison: mass p if all cooperate, 1 - p if all defect, else 0."""
     nl, na = shape.n_leaders, shape.n_alliance
-    prev, nxt = state_actions(v, shape.n_players), state_actions(w, shape.n_players)
+    prev, nxt = state_bits(shape.n_players)[[v, w]].tolist()
     lc, fc = sum(prev[:nl]), sum(prev[nl:])
     cond = [s.table[prev[i], lc - prev[i], fc] for i, s in enumerate(leaders)]
     groups = {}
@@ -247,7 +247,7 @@ class TestStationary:
         sv2 = stationary(build_transition_matrix(shape, leaders, swapped))
         # swapping follower bits 2 and 3 permutes the state space
         for state in range(16):
-            acts = list(state_actions(state, 4))
+            acts = state_bits(4)[state].tolist()
             acts[2], acts[3] = acts[3], acts[2]
             assert sv.vector[state] == pytest.approx(
                 sv2.vector[state_of(acts)], abs=1e-10)
