@@ -165,17 +165,31 @@ def synthesize(params: ZDParams, payoffs: PayoffVectors | None = None) -> Synthe
                            certificate, params)
 
 
-def _alliance_strategy(shape, f_table, phi):
+@functools.lru_cache(maxsize=None)
+def _strategy_indices(shape):
+    """Per-shape arrays of ``_alliance_strategy``, each shaped like a
+    leader table: the flat index into the (2, N + 1) ``f`` array of the
+    unison outcome (s, b) behind each index, whether the index is
+    reachable in unison, and whether it is a cooperate index."""
     nl, na, n = shape.n_leaders, shape.n_alliance, shape.n_players
     s, x, y = np.indices(leader_table_shape(shape))
+    cooperate = s == COOPERATE
+    outcome = s * (n + 1) + x + y + s
+    unison = np.where(cooperate, x >= na - 1, x <= nl - na)
+    for array in (outcome, unison, cooperate):
+        array.flags.writeable = False
+    return outcome, unison, cooperate
+
+
+def _alliance_strategy(shape, f_table, phi):
     # unison outcome (s, b) behind each index; other indices are reachable
     # only when the alliance splits and get probability 0
-    unison = np.where(s == COOPERATE, x >= na - 1, x <= nl - na)
-    f = np.zeros((2, n + 1))
+    outcome, unison, cooperate = _strategy_indices(shape)
+    f = np.zeros((2, shape.n_players + 1))
     for (a, b), fv in f_table.items():
         f[a, b] = fv
-    step = phi * f[s, x + y + s]
-    p = np.where(unison, np.where(s == COOPERATE, step + 1.0, step), 0.0)
+    step = phi * f.take(outcome)
+    p = np.where(unison, np.where(cooperate, step + 1.0, step), 0.0)
     escaped = ~((p >= -1e-9) & (p <= 1.0 + 1e-9))
     if escaped.any():
         # report the first escape in cooperate-first order

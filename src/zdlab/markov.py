@@ -21,6 +21,13 @@ MAX_DETERMINANT_PLAYERS = 8
 
 # Power-iteration sweeps attempted before the dense linear-solve fallback.
 _POWER_BUDGET = 256
+# Power-iteration sweeps run between two convergence checks: _BLOCK, or
+# fewer on a chain of more than _BLOCK_ENTRIES / _BLOCK entries, where the
+# sweeps run past convergence would cost more than the checks saved.
+_BLOCK = 16
+_BLOCK_ENTRIES = 1 << 18
+# Shortest run of columns a leader's coins are multiplied over in one go.
+_RUN = 64
 # Stationary residual target and the total sweep limit.
 _TOL = 1e-12
 _MAX_ITERS = 1_000_000
@@ -137,7 +144,7 @@ def build_transition_matrix(shape: GameShape, leaders, followers,
     identical actions and split alliance outcomes get zero mass.
     """
     _check_strategies(shape, leaders, followers, shape.n_leaders)
-    weights = np.ones(shape.n_leaders, dtype=int)
+    weights = (1,) * shape.n_leaders
     n_tied = shape.n_alliance if coupling else 0
     matrix = _chain(weights, leaders, followers, n_tied)
     return TransitionMatrix(matrix, shape, coupling)
@@ -155,10 +162,27 @@ def build_lumped_matrix(shape: GameShape, leaders,
     """
     n_movers = shape.n_leaders - shape.n_alliance + 1
     _check_strategies(shape, leaders, followers, n_movers)
-    weights = np.ones(n_movers, dtype=int)
-    weights[0] = shape.n_alliance
+    weights = (shape.n_alliance,) + (1,) * (n_movers - 1)
     matrix = _chain(weights, leaders, followers, 0)
     return TransitionMatrix(matrix, shape, True, lumped=True)
+
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=None)
+def _split_coins(shape: GameShape):
+    """Flat indices into an alliance table of the two coins of every split
+    state of the coupled chain (see ``splits_transient``)."""
+    na = shape.n_alliance
+    k = np.arange(1, na)[:, None, None]
+    u = np.arange(shape.n_leaders - na + 1)[None, :, None]
+    y = np.arange(shape.n_followers + 1)[None, None, :]
+    dims = leader_table_shape(shape)
+    return (_read_only(np.ravel_multi_index((1, k - 1 + u, y), dims)),
+            _read_only(np.ravel_multi_index((0, k + u, y), dims)))
 
 
 def splits_transient(shape: GameShape, table) -> bool:
@@ -171,12 +195,57 @@ def splits_transient(shape: GameShape, table) -> bool:
     ``table[0, k+u, y]``; they can only stay split if one coin is 0 and
     the other 1.
     """
-    na = shape.n_alliance
-    k = np.arange(1, na)[:, None, None]
-    u = np.arange(shape.n_leaders - na + 1)[None, :, None]
-    y = np.arange(shape.n_followers + 1)[None, None, :]
-    p_c, p_d = table[1, k - 1 + u, y], table[0, k + u, y]
+    coop, defect = _split_coins(shape)
+    p_c, p_d = table.take(coop), table.take(defect)
     return not ((p_c == 0.0) & (p_d == 1.0) | (p_c == 1.0) & (p_d == 0.0)).any()
+
+
+@dataclass(frozen=True, eq=False)
+class _ChainPlan:
+    """The strategy-independent index arrays of one chain (see
+    ``_chain_plan``)."""
+
+    leader_coops: np.ndarray
+    acted: tuple
+    gathers: np.ndarray
+    runs: tuple
+    splits: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _chain_plan(weights: tuple, n_followers: int) -> _ChainPlan:
+    """Index arrays of the chain over leader movers with ``weights``, then
+    ``n_followers`` followers:
+
+    - ``leader_coops[state]``, the number of cooperating leaders;
+    - ``acted[j][state]``, whether follower j cooperated;
+    - ``gathers[i, state]``, the index of mover i's entry ``[own,
+      leader_coops - own, cooperating followers]`` (``own`` being its
+      action) into the movers' tables laid end to end;
+    - ``runs[i]``, mover i's action in the first ``_RUN`` columns (all
+      of them in a smaller chain) if its bit repeats within them, else
+      None;
+    - ``splits[i, j, pattern]``, whether movers i and j act differently
+      in a pattern of the leader bits, which are the low bits of a state.
+    """
+    nl = len(weights)
+    bits = state_bits(nl + n_followers)
+    leader_coops = bits[:, :nl] @ np.array(weights)
+    follower_coops = bits[:, nl:].sum(axis=1)
+    dims = (2, sum(weights), n_followers + 1)
+    gathers = np.stack([
+        i * np.prod(dims) + np.ravel_multi_index(
+            (own, leader_coops - own, follower_coops), dims)
+        for i, own in enumerate(bits[:, :nl].T)])
+    acted = tuple(_read_only(bits[:, nl + j] == 1)
+                  for j in range(n_followers))
+    width = min(len(bits), _RUN)
+    runs = tuple(_read_only(bits[:width, i].copy()) if 2 << i < width
+                 else None for i in range(nl))
+    pattern = state_bits(nl).T
+    splits = pattern[:, None, :] != pattern[None, :, :]
+    return _ChainPlan(_read_only(leader_coops), acted, _read_only(gathers),
+                      runs, _read_only(splits))
 
 
 def _chain(weights, leaders, followers, n_tied):
@@ -186,49 +255,69 @@ def _chain(weights, leaders, followers, n_tied):
     0..n_tied-1 are alliance members, coupled as in
     ``build_transition_matrix``.
     """
-    nl = len(weights)
-    n = nl + len(followers)
-    size = 1 << n
-    bits = state_bits(n)
-    leader_coops = bits[:, :nl] @ weights
-    follower_coops = bits[:, nl:].sum(axis=1)
+    plan = _chain_plan(weights, len(followers))
+    size = len(plan.leader_coops)
 
     # Follower factor depends only on the successor column.
     fol = np.ones(size)
-    for j, strat in enumerate(followers):
-        q = strat.probs[leader_coops]
-        acted = bits[:, nl + j] == 1
+    for strat, acted in zip(followers, plan.acted):
+        q = strat.probs.take(plan.leader_coops)
         fol *= np.where(acted, q, 1.0 - q)
 
-    # Leader factors are multiplied in place, one leader at a time, into
-    # the follower factor broadcast over the rows.
-    matrix = np.tile(fol, (size, 1))
-    cond = np.empty((size, nl))
-    for i, strat in enumerate(leaders):
-        own = bits[:, i]
-        p = cond[:, i] = strat.table[own, leader_coops - own, follower_coops]
-        coin = np.stack([1.0 - p, p], axis=1)
-        if 0 < i < n_tied:
-            # a member tied with an earlier member copies its action
-            same = cond[:, :i] == p[:, None]
-            tied = same.any(axis=1)
-            first = same.argmax(axis=1)
-            for j in range(i):
-                rows = tied & (first == j)
-                # columns split as (higher bits, bit i, .., bit j, lower bits)
-                pair = matrix.reshape(size, -1, 2, 1 << (i - 1 - j), 2, 1 << j)
-                pair[rows, :, 0, :, 1] = 0.0
-                pair[rows, :, 1, :, 0] = 0.0
-            coin[tied] = 1.0
-        # columns split as (higher bits, bit i, lower bits)
-        act = matrix.reshape(size, -1, 2, 1 << i)
-        act *= coin[:, None, :, None]
+    # coins[i, state] = (1 - p, p), p being leader mover i's cooperation
+    # probability in that state
+    cond = np.concatenate([s.table.ravel() for s in leaders]).take(
+        plan.gathers)
+    coins = np.stack([1.0 - cond, cond], axis=-1)
+    split = None
+    if n_tied > 1:
+        tied, split = _ties(plan.splits, cond[:n_tied])
+        coins[:n_tied][tied] = 1.0  # a copying member draws no coin
+
+    # Leader factors are multiplied one leader at a time into the follower
+    # factor broadcast over the rows.
+    matrix = np.empty((size, size))
+    for i, (coin, run) in enumerate(zip(coins, plan.runs)):
+        if run is None:
+            # columns split as (higher bits, bit i, lower bits)
+            act = matrix.reshape(size, -1, 2, 1 << i)
+            factor = coin[:, None, :, None]
+        else:
+            # columns split into runs of _RUN, over which bit i repeats
+            act = matrix.reshape(size, -1, len(run))
+            factor = coin.take(run, axis=1)[:, None, :]
+        np.multiply(fol.reshape(act.shape[1:]) if i == 0 else act, factor,
+                    out=act)
+    if split is not None:
+        # columns split as (follower bits, leader bits); zeroing last gives
+        # the same entries as zeroing first, as the coins lie in [0, 1]
+        np.copyto(matrix.reshape(size, -1, 1 << len(coins)), 0.0,
+                  where=split[:, None, :])
 
     sums = matrix.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > 1e-9):
         raise ValueError("transition rows do not sum to one")
     matrix /= sums[:, None]
     return matrix
+
+
+def _ties(splits, cond):
+    """Coupling of alliance members with probabilities ``cond`` (members,
+    states).
+
+    A member whose probability equals an earlier member's draws no coin
+    of its own and copies the action of the first such member. Returns
+    ``tied[i, state]``, whether member i copies another, and
+    ``split[state, pattern]``, whether some copy disagrees with its
+    original in that leader-bit pattern (``_chain_plan.splits``).
+    """
+    # the first member, i itself included, with member i's probability
+    copied = (cond[:, None] == cond[None, :]).argmax(axis=1)
+    members = np.arange(len(cond))[:, None]
+    n_movers = len(splits)
+    pairs = splits.reshape(n_movers * n_movers, -1)
+    split = pairs.take(members * n_movers + copied, axis=0).any(axis=0)
+    return copied != members, split
 
 
 def stationary(tm: TransitionMatrix) -> StationaryVector:
@@ -238,25 +327,45 @@ def stationary(tm: TransitionMatrix) -> StationaryVector:
     ``_POWER_BUDGET`` sweeps for slow-mixing chains; if that solve misses
     the target, power iteration goes on from it. Deterministic given
     identical inputs.
+
+    Sweeps run in blocks (of ``_BLOCK`` up to 128 states, then fewer) and
+    are checked per block, with the result of checking each sweep in turn:
+    the first sweep whose step ``max|vM - v|`` and residual both reach
+    ``_TOL`` is returned. The residual of a sweep is the next one's step.
     """
     m = tm.matrix
     size = m.shape[0]
-    v = np.full(size, 1.0 / size)
-    for sweep in range(_MAX_ITERS):
+    block = min(_BLOCK, max(1, _BLOCK_ENTRIES // m.size))
+    # rows: the vector before the block, then one row per sweep
+    vs = np.empty((block + 1, size))
+    vs[0] = 1.0 / size
+    rows = list(vs)
+    sweep = 0
+    while sweep < _MAX_ITERS:
         if sweep == _POWER_BUDGET:
             sol = _dense_stationary(m)
             if sol is not None:
                 resid = float(np.abs(sol @ m - sol).max())
                 if resid <= _TOL:
                     return StationaryVector(sol, resid, "dense", sweep)
-                v = sol
-        nxt = v @ m
-        if np.abs(nxt - v).max() <= _TOL:
-            resid = float(np.abs(nxt @ m - nxt).max())
+                vs[0] = sol
+        end = _POWER_BUDGET if sweep < _POWER_BUDGET else _MAX_ITERS
+        count = min(block, end - sweep, _MAX_ITERS - sweep)
+        for k in range(count):
+            np.matmul(rows[k], m, out=rows[k + 1])
+        steps = np.abs(vs[1:count + 1] - vs[:count]).max(axis=1)
+        for k in np.flatnonzero(steps <= _TOL):
+            nxt = rows[k + 1]
+            if k + 1 < count:
+                resid = float(steps[k + 1])
+            else:
+                resid = float(np.abs(nxt @ m - nxt).max())
             if resid <= _TOL:
                 return StationaryVector(nxt / nxt.sum(), resid, "power",
-                                        sweep + 1)
-        v = nxt
+                                        sweep + int(k) + 1)
+        vs[0] = vs[count]
+        sweep += count
+    v = vs[0]
     resid = float(np.abs(v @ m - v).max())
     raise ConvergenceError(
         f"stationary solve did not converge (residual {resid:.3e})", resid

@@ -1,10 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zdlab import markov
-from zdlab.errors import DegenerateChainError, StrategyTableError
+from zdlab.alliance import random_outsiders
+from zdlab.errors import (ConvergenceError, DegenerateChainError,
+                          StrategyTableError)
 from zdlab.game import GameShape, payoff_vectors, state_bits
 from zdlab.markov import (FollowerStrategy, LeaderStrategy,
                           build_lumped_matrix, build_transition_matrix,
@@ -200,6 +204,54 @@ class TestLumpedChain:
             build_lumped_matrix(shape, leaders, followers)
 
 
+def reference_stationary(tm, missed=None):
+    """Per-sweep reference for :func:`stationary`: the power loop with one
+    convergence check per sweep, reading the module's constants when
+    called. ``missed`` collects the sweeps whose step reached ``_TOL`` but
+    whose residual did not."""
+    m = tm.matrix
+    size = m.shape[0]
+    v = np.full(size, 1.0 / size)
+    for sweep in range(markov._MAX_ITERS):
+        if sweep == markov._POWER_BUDGET:
+            sol = markov._dense_stationary(m)
+            if sol is not None:
+                resid = float(np.abs(sol @ m - sol).max())
+                if resid <= markov._TOL:
+                    return markov.StationaryVector(sol, resid, "dense", sweep)
+                v = sol
+        nxt = v @ m
+        if np.abs(nxt - v).max() <= markov._TOL:
+            resid = float(np.abs(nxt @ m - nxt).max())
+            if resid <= markov._TOL:
+                return markov.StationaryVector(nxt / nxt.sum(), resid,
+                                               "power", sweep + 1)
+            if missed is not None:
+                missed.append(sweep + 1)
+        v = nxt
+    resid = float(np.abs(v @ m - v).max())
+    raise ConvergenceError(
+        f"stationary solve did not converge (residual {resid:.3e})", resid
+    )
+
+
+def assert_same_stationary(got, expected):
+    assert got.vector.tobytes() == expected.vector.tobytes()
+    assert type(got.iterations) is int
+    assert (repr(got.residual), got.path, got.iterations) == (
+        repr(expected.residual), expected.path, expected.iterations)
+
+
+def _periodic_chain():
+    # leaders cooperate iff no leader cooperated last round; the follower
+    # copies the leaders, so the chain cycles all-defect <-> all-cooperate
+    # and power iteration never settles
+    s, x, _ = np.indices(leader_table_shape(FIG_SHAPE))
+    leaders = [LeaderStrategy(i, s + x == 0) for i in range(2)]
+    followers = [FollowerStrategy(2, (0.0, 0.0, 1.0))]
+    return build_transition_matrix(FIG_SHAPE, leaders, followers)
+
+
 class TestStationary:
     def test_uniform_chain(self):
         leaders = [LeaderStrategy.constant(i, FIG_SHAPE, 0.5) for i in range(2)]
@@ -218,13 +270,7 @@ class TestStationary:
         assert np.allclose(sv.vector, expected, atol=1e-12)
 
     def test_periodic_chain_uses_dense_fallback(self, monkeypatch):
-        # leaders cooperate iff no leader cooperated last round; the follower
-        # copies the leaders, so the chain cycles all-defect <-> all-cooperate
-        # and power iteration never settles
-        s, x, _ = np.indices(leader_table_shape(FIG_SHAPE))
-        leaders = [LeaderStrategy(i, s + x == 0) for i in range(2)]
-        followers = [FollowerStrategy(2, (0.0, 0.0, 1.0))]
-        tm = build_transition_matrix(FIG_SHAPE, leaders, followers)
+        tm = _periodic_chain()
         calls = []
         dense = markov._dense_stationary
         monkeypatch.setattr(markov, "_dense_stationary",
@@ -236,6 +282,63 @@ class TestStationary:
         expected[[0, 7]] = 0.5
         assert np.allclose(sv.vector, expected, atol=1e-12)
         assert sv.residual <= 1e-12
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 16])
+    def test_step_below_tol_before_residual(self, monkeypatch, block):
+        # this chain's step first reaches _TOL at a sweep whose residual
+        # (the next step) does not, so that sweep must not be returned
+        shape = GameShape(3, 3, 1, 9.0)
+        tables = ([0.02, 0.5, 0.02, 0.02, 0.02, 0.98],
+                  [0.5, 0.98, 0.0, 1.0, 0.0, 0.0],
+                  [0.5, 1.0, 0.98, 0.5, 1.0, 0.5])
+        leaders = [LeaderStrategy(i, np.reshape(t, (2, 3, 1)))
+                   for i, t in enumerate(tables)]
+        tm = build_transition_matrix(shape, leaders, [])
+        monkeypatch.setattr(markov, "_BLOCK", block)
+        missed = []
+        expected = reference_stationary(tm, missed)
+        assert missed and expected.path == "power"
+        assert_same_stationary(stationary(tm), expected)
+
+    @pytest.mark.parametrize("budget", [37, markov._POWER_BUDGET])
+    @pytest.mark.parametrize("block", [1, 3, 16])
+    def test_dense_attempt_at_budget(self, monkeypatch, budget, block):
+        monkeypatch.setattr(markov, "_BLOCK", block)
+        monkeypatch.setattr(markov, "_POWER_BUDGET", budget)
+        sv = stationary(_periodic_chain())
+        assert sv.path == "dense" and sv.iterations == budget
+        assert_same_stationary(sv, reference_stationary(_periodic_chain()))
+
+    @pytest.mark.parametrize("block", [1, 3, 16])
+    def test_power_goes_on_from_a_missed_dense_solve(self, monkeypatch,
+                                                     block):
+        # a dense attempt that misses the target restarts power iteration
+        # from its vector, here the uniform one
+        rng = np.random.default_rng(8)
+        tm = build_transition_matrix(FIG_SHAPE, *random_profile(FIG_SHAPE,
+                                                                rng))
+        monkeypatch.setattr(markov, "_BLOCK", block)
+        monkeypatch.setattr(markov, "_POWER_BUDGET", 7)
+        monkeypatch.setattr(markov, "_dense_stationary",
+                            lambda m: np.full(len(m), 1.0 / len(m)))
+        sv = stationary(tm)
+        assert sv.path == "power" and sv.iterations > 7
+        assert_same_stationary(sv, reference_stationary(tm))
+
+    @pytest.mark.parametrize("max_iters", [0, 5, 37, 300])
+    @pytest.mark.parametrize("block", [1, 3, 16])
+    def test_convergence_error_residual(self, monkeypatch, max_iters, block):
+        # the periodic chain never settles once its dense attempt fails
+        monkeypatch.setattr(markov, "_BLOCK", block)
+        monkeypatch.setattr(markov, "_MAX_ITERS", max_iters)
+        monkeypatch.setattr(markov, "_dense_stationary", lambda m: None)
+        tm = _periodic_chain()
+        with pytest.raises(ConvergenceError) as expected:
+            reference_stationary(tm)
+        with pytest.raises(ConvergenceError) as got:
+            stationary(tm)
+        assert got.value.residual == expected.value.residual > 0.1
+        assert str(got.value) == str(expected.value)
 
     def test_follower_relabel_equivariance(self):
         shape = GameShape(4, 2, 2, 11.0)
@@ -334,3 +437,55 @@ class TestExpectedPayoffs:
         pi_a, pi_out = expected_payoffs(FIG_SHAPE, Mixed, pv)
         assert pi_a == pytest.approx((6 + 9 + 1 + 4) / 4)
         assert pi_out == pytest.approx((7 + 9 + 1 + 3) / 4)
+
+
+# sha256 prefixes of a chain's matrix bytes followed by its stationary
+# vector's bytes and "repr(residual)|path|iterations", as (uncoupled,
+# coupled, lumped) per (players, leaders, alliance) at r = 2N + 3. The
+# alliance shares one table drawn from {0.2, 0.5, 0.8}, so members also
+# tie in split states; the outsiders come from ``random_outsiders``. They
+# pin the chain build and the stationary solve bit for bit.
+CHAIN_GOLDEN = {
+    (2, 1, 1): ("38b8f9f5c8d8b223", "38b8f9f5c8d8b223", "38b8f9f5c8d8b223"),
+    (2, 2, 1): ("d402baa0e6091b96", "d402baa0e6091b96", "d402baa0e6091b96"),
+    (3, 2, 2): ("5c0a98cd345cc77b", "9e8324103010aa13", "221f72940734eba4"),
+    (3, 3, 2): ("909600363a2bb581", "03d4b50262c60a49", "355cb9a1b0f4229c"),
+    (4, 3, 3): ("f2a70b606996f4ca", "06b081b505d7e5ef", "6fd43efd6eebe2c1"),
+    (4, 4, 2): ("78690c540572c74d", "9683a05943a65af6", "57837a8068d356e8"),
+    (5, 4, 4): ("680ac5352abc775c", "47eb983642986ec6", "b3858e9144fd146c"),
+    (5, 3, 2): ("6f2b442fc8c78ab8", "cdc28164a4808a04", "05cd71001ab6f9af"),
+    (6, 5, 5): ("c00b02396259d54d", "17e4a6d68521e2e0", "916a5e38316d850d"),
+    (6, 4, 3): ("917a464c355f2945", "8a3d5f1c53508289", "ec5cce505e1c33c9"),
+    (7, 6, 6): ("cf42aebc92dbae94", "290f5146cd0bbce2", "ff058e391a234c54"),
+    (7, 5, 3): ("52086085c420d381", "0852055e1ac4c4a3", "f1a7468cd4d3d93f"),
+    (8, 7, 7): ("e7db347ffb31627e", "8eabb56967a1f11f", "8c6d51b16da4c597"),
+    (8, 6, 4): ("6f6d58d6c02a9cfa", "27df79a8fe3e0547", "39bf1c995a931152"),
+    (10, 9, 9): ("e48ae3df442f8ede", "ffa4ff6b7db5da8f", "7ad5ad025fa98e72"),
+    (10, 7, 6): ("02b3c06e4caebf0b", "c74709ffcad7c966", "b6ee5838e386cc06"),
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("kind", ["uncoupled", "coupled", "lumped"])
+    @pytest.mark.parametrize("dims", list(CHAIN_GOLDEN))
+    def test_chain_and_stationary_bits(self, dims, kind):
+        n, nl, na = dims
+        shape = GameShape(n, nl, na, 2.0 * n + 3.0)
+        rng = np.random.default_rng(list(dims))
+        table = rng.choice((0.2, 0.5, 0.8), leader_table_shape(shape))
+        outsiders = random_outsiders(shape, rng)
+        out_leaders, followers = outsiders[:nl - na], outsiders[nl - na:]
+        if kind == "lumped":
+            tm = build_lumped_matrix(shape, [LeaderStrategy(0, table)]
+                                     + out_leaders, followers)
+        else:
+            leaders = [LeaderStrategy(i, table) for i in range(na)]
+            tm = build_transition_matrix(shape, leaders + out_leaders,
+                                         followers, kind == "coupled")
+        sv = stationary(tm)
+        h = hashlib.sha256(tm.matrix.tobytes())
+        h.update(sv.vector.tobytes())
+        h.update(f"{sv.residual!r}|{sv.path}|{sv.iterations}".encode())
+        expected = CHAIN_GOLDEN[dims][("uncoupled", "coupled",
+                                       "lumped").index(kind)]
+        assert h.hexdigest()[:16] == expected
