@@ -58,9 +58,6 @@ class Graph:
     def neighbors(self, u) -> list[int]:
         return self.indices[self.indptr[u]:self.indptr[u + 1]].tolist()
 
-    def degree(self, u) -> int:
-        return int(self.indptr[u + 1] - self.indptr[u])
-
     @property
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExhaustiveCapError
-from .field import Deployment, objective_from_mask
+from .field import Deployment, _placement_tables, objective_from_mask
 from .game import PayoffScale
-from .graphs import Graph, betweenness
+from .graphs import Graph, betweenness, shared_adjacency
 
 # mask elements scored per exhaustive-search block
 EXHAUSTIVE_BLOCK = 8192
@@ -144,35 +144,112 @@ def lex_combinations(n: int, k: int, rows: int):
         yield block
 
 
+def _record_slack(n: int) -> float:
+    """Margin by which :func:`_extension_scores` may undercut a strict
+    record of the kernel's scores on a V = ``n`` graph.
+
+    An approximation and a kernel score are each a floating-point sum of at
+    most m = 2n + 2 terms in [-1, 1] (a difference q1 - q0 counts as one
+    term, rounded once more), so each lies within m * gamma_m of its real
+    value, gamma_m = m u / (1 - m u), u = 2**-53, in any summation order
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, sec. 4.2).
+    They differ by at most E = 2 m gamma_m, and a subset that beats every
+    earlier kernel score has an approximation above every earlier
+    approximation minus 2 E.
+    """
+    m = 2 * n + 2
+    gamma = m * 2.0 ** -53 / (1.0 - m * 2.0 ** -53)
+    return 4.0 * m * gamma
+
+
+def _extension_scores(g: Graph, masks: np.ndarray,
+                      scale: PayoffScale) -> np.ndarray:
+    """First-order scores of one-node extensions. ``masks`` is a (V, P)
+    boolean array, one prefix per column; entry [v, p] of the (V, P)
+    result approximates the kernel's score of prefix p plus node v, for
+    each v outside prefix p.
+
+    With c the prefix's ZD-neighbour counts, q0 = q[u, c_u] and
+    d = q[u, c_u + 1] - q0 (0.0 on the prefix's own nodes), adding v
+    changes the sum of q0 by (A @ d)[v] - q0[v]: one product scores all V
+    extensions of every prefix.
+    """
+    adj_w, base, q = _placement_tables(g, scale)
+    idx = (adj_w @ masks + base[:, None]).astype(np.intp)
+    q0 = q.take(idx)
+    # on a prefix's own nodes idx + 1 can reach the next node's table (or
+    # one past the end), so those differences are zeroed
+    d = q.take(idx + 1, mode="clip") - q0
+    d[masks] = 0.0
+    return (q0.sum(axis=0) - q0) + shared_adjacency(g) @ d
+
+
 def optimize_exhaustive(g: Graph, k: int, scale: PayoffScale,
                         cap: int = 2_000_000):
     """Exact optimum by enumeration in lexicographic order; a subset
     replaces the best only when it beats it by more than 1e-12 relative, so
     ties go to the lexicographically smallest ZD set. Refuses when C(V, K)
-    exceeds ``cap``."""
+    exceeds ``cap``.
+
+    The K-subsets are visited as (K-1)-prefixes T of range(V - 1), each
+    extended by every v > max(T). :func:`_extension_scores` scores all
+    extensions of a block of prefixes at once; only the subsets whose
+    approximation exceeds the approximate running maximum before them,
+    minus :func:`_record_slack`, can be strict records of the kernel's
+    scores, and only those are re-scored by :func:`objective_from_mask`.
+    """
     _check_k(g, k)
     total = math.comb(g.n, k)
     if total > cap:
         raise ExhaustiveCapError(
             f"{total} candidate subsets exceed the cap of {cap}"
         )
-    rows = max(1, EXHAUSTIVE_BLOCK // g.n)
-    best_set, best_score, seen_max = None, -math.inf, -math.inf
-    for block in lex_combinations(g.n, k, rows):
-        masks = np.zeros((len(block), g.n), dtype=bool)
-        np.put_along_axis(masks, block, True, axis=1)
-        scores = objective_from_mask(g, masks, scale)
-        # objectives are nonnegative, so the tie margin grows with the best
-        # and only a strict running maximum can replace it: step through
-        # those records with the sequential rule
-        running = np.maximum.accumulate(np.maximum(scores, seen_max))
-        before = np.concatenate(([seen_max], running[:-1]))
-        for i in np.flatnonzero(scores > before):
-            score = float(scores[i])
-            # near-equal scores count as ties so rounding noise cannot
-            # steal the win from the lexicographically first subset
-            if best_set is None or score > best_score + 1e-12 * max(1.0, abs(best_score)):
-                best_set, best_score = block[i].tolist(), score
-        seen_max = running[-1]
-    dep = Deployment(g, frozenset(best_set), scale)
+    n = g.n
+    slack = _record_slack(n)
+    rows = max(1, EXHAUSTIVE_BLOCK // n)
+    nodes = np.arange(n)
+    # later[v, j]: v may extend a prefix whose last node is j - 1
+    later = nodes[:, None] >= nodes
+    best, best_score = None, -math.inf
+    seen_approx = seen_max = -math.inf
+    for block in lex_combinations(n - 1, k - 1, rows):
+        # one column per prefix, so the reductions below over axis 0 run
+        # vectorized across prefixes
+        masks = np.zeros((n, len(block)), dtype=bool)
+        masks[block.T, np.arange(len(block))] = True
+        start = block[:, -1] + 1 if k > 1 else np.zeros(len(block), dtype=np.intp)
+        approx = np.where(later[:, start], _extension_scores(g, masks, scale),
+                          -math.inf)
+        # prefixes holding a possible record, by their best extension and
+        # the approximate running maximum over earlier prefixes
+        top = approx.max(axis=0)
+        running = np.maximum.accumulate(np.maximum(top, seen_approx))
+        before = np.concatenate(([seen_approx], running[:-1]))
+        hot = np.flatnonzero(top > before - slack)
+        seen_approx = running[-1]
+        if not hot.size:
+            continue
+        # within those prefixes, each extension against the maximum before it
+        scores = approx[:, hot]
+        ahead = np.maximum.accumulate(np.maximum(scores, before[hot]), axis=0)
+        ahead = np.concatenate((before[None, hot], ahead[:-1]))
+        p, v = np.nonzero((scores > ahead - slack).T)  # in lexicographic order
+        p = hot[p]
+        for first in range(0, len(p), rows):
+            cp, cv = p[first:first + rows], v[first:first + rows]
+            cand = masks[:, cp].T
+            cand[np.arange(len(cp)), cv] = True
+            exact = objective_from_mask(g, cand, scale)
+            # objectives are nonnegative, so the tie margin grows with the
+            # best and only a strict running maximum can replace it: step
+            # through those records with the sequential rule
+            records = np.maximum.accumulate(np.maximum(exact, seen_max))
+            rises = np.flatnonzero(exact > np.concatenate(([seen_max], records[:-1])))
+            for i, score in zip(rises.tolist(), exact[rises].tolist()):
+                # near-equal scores count as ties so rounding noise cannot
+                # steal the win from the lexicographically first subset
+                if best is None or score > best_score + 1e-12 * max(1.0, abs(best_score)):
+                    best, best_score = cand[i], score
+            seen_max = records[-1]
+    dep = Deployment(g, frozenset(np.flatnonzero(best).tolist()), scale)
     return dep, best_score

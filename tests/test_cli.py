@@ -158,7 +158,7 @@ class TestMain:
         assert main(["topo", "--type", "star", "--n", "10",
                      "--out", gpath]) == 0
         g = Graph.read(gpath)
-        assert g.degree(0) == 9
+        assert g.degrees[0] == 9
 
         assert main(["metrics", "--graph", gpath]) == 0
         out = capsys.readouterr().out

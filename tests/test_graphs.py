@@ -80,7 +80,7 @@ class TestGraph:
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         assert has_edge(g, 1, 0)
         assert not has_edge(g, 0, 2)
-        assert g.degree(1) == 2
+        assert g.degrees[1] == 2
         assert g.edge_count == 3
         assert g.edges() == [(0, 1), (1, 2), (2, 3)]
 
@@ -113,7 +113,7 @@ class TestGraph:
     def test_isolated_nodes(self):
         g = Graph(4, [])
         assert g.edge_count == 0 and g.edges() == []
-        assert [g.degree(u) for u in range(4)] == [0, 0, 0, 0]
+        assert [g.degrees[u] for u in range(4)] == [0, 0, 0, 0]
 
     def test_round_trip(self, tmp_path):
         g = generate("mesh", 12, seed=3)
@@ -160,12 +160,12 @@ class TestGenerate:
 
     def test_star(self):
         g = generate("star", 6)
-        assert g.degree(0) == 5
-        assert all(g.degree(u) == 1 for u in range(1, 6))
+        assert g.degrees[0] == 5
+        assert all(g.degrees[u] == 1 for u in range(1, 6))
 
     def test_ring(self):
         g = generate("ring", 6)
-        assert all(g.degree(u) == 2 for u in range(6))
+        assert all(g.degrees[u] == 2 for u in range(6))
         assert has_edge(g, 5, 0)
 
     def test_tree(self):
@@ -180,7 +180,7 @@ class TestGenerate:
         g3 = generate("mesh", 30, seed=6)
         assert g1.edges() == g2.edges()
         assert g1.edges() != g3.edges()
-        assert min(g1.degree(u) for u in range(30)) >= 2
+        assert min(g1.degrees[u] for u in range(30)) >= 2
 
     def test_mesh_density_scales_edges(self):
         sparse = generate("mesh", 40, seed=0, mesh_density=0.1)

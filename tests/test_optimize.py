@@ -1,31 +1,58 @@
 import hashlib
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zdlab import optimize
-from zdlab.field import Deployment, evaluate
+from zdlab.field import Deployment, evaluate, objective_from_mask
 from zdlab.game import PayoffScale
-from zdlab.graphs import generate
+from zdlab.graphs import Graph, generate
 from zdlab.optimize import (ExhaustiveCapError, GAConfig, fix_k,
                             lex_combinations, optimize_exhaustive,
                             optimize_ga)
 
 SCALE = PayoffScale(2, 1, 3)
+SCALE_K2 = PayoffScale(2, 2, 3)
 FAST = GAConfig(population_size=40, generations=40, seed=0)
 
 
-def sequential_exhaustive(g, k, score=None):
+def approximation_error(n):
+    """Rounding bound on one first-order extension score against the
+    kernel's score on a V = n graph: each is a sum of at most m = 2n + 2
+    terms in [-1, 1], so each lies within m * gamma_m of the real value
+    (Higham, sec. 4.2), and the two within twice that."""
+    m = 2 * n + 2
+    gamma = m * 2.0 ** -53 / (1.0 - m * 2.0 ** -53)
+    return 2 * m * gamma
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on 2-12 nodes with random edges, isolated nodes allowed."""
+    n = draw(st.integers(2, 12), "n")
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pairs.filter(lambda e: e[0] != e[1]),
+                          max_size=3 * n), "edges")
+    return Graph(n, edges)
+
+
+def sequential_exhaustive(g, k, score=None, scale=SCALE, picks=None):
     """Reference search: every subset in lexicographic order, replacing the
-    best only when beaten by more than 1e-12 relative."""
-    score = score or (lambda sub: evaluate(Deployment(g, sub, SCALE)).objective)
+    best only when beaten by more than 1e-12 relative; each subset that
+    replaces the best is appended to ``picks``."""
+    score = score or (lambda sub: evaluate(Deployment(g, sub, scale)).objective)
     best_set, best = None, -math.inf
     for sub in combinations(range(g.n), k):
         value = score(frozenset(sub))
         if best_set is None or value > best + 1e-12 * max(1.0, abs(best)):
             best_set, best = frozenset(sub), value
+            if picks is not None:
+                picks.append(best_set)
     return best_set, best
 
 
@@ -109,6 +136,11 @@ class TestExhaustive:
         g = generate("ring", 6)
         order = list(combinations(range(6), 2))
         table = {}
+        # the search must survive approximations that are off by the
+        # rounding bound, pushed against it: each subset the sequential
+        # rule picks down, every other subset up
+        error = approximation_error(g.n)
+        shift = {}
 
         def fake_objective(adj, masks, scale):
             rows = np.atleast_2d(masks)
@@ -116,7 +148,19 @@ class TestExhaustive:
                                for r in rows])
             return values if masks.ndim == 2 else float(values[0])
 
+        def fake_extension_scores(adj, masks, scale):
+            # entries the search must not read are infinite
+            out = np.full(masks.shape, np.inf)
+            for p, column in enumerate(masks.T):
+                prefix = np.flatnonzero(column).tolist()
+                for v in range(max(prefix, default=-1) + 1, g.n):
+                    sub = frozenset(prefix + [v])
+                    out[v, p] = table[sub] + shift[sub]
+            return out
+
         monkeypatch.setattr(optimize, "objective_from_mask", fake_objective)
+        monkeypatch.setattr(optimize, "_extension_scores",
+                            fake_extension_scores)
         monkeypatch.setattr(optimize, "EXHAUSTIVE_BLOCK", block, raising=False)
         # bumps in units of the 1e-12 relative tie margin; the first chain
         # keeps the second subset although later ones score higher
@@ -124,21 +168,76 @@ class TestExhaustive:
         chains = [[0.0, 1.5, 2.2, 2.4, 0.5, 3.3, 3.6, 3.0] + [0.0] * 7]
         chains += [rng.choice([0.0, 0.5, 1.0, 1.5, 2.2, 2.4, 3.3, 3.6], 15)
                    for _ in range(200)]
+        # a subset just past the margin behind one just inside it, closer
+        # than twice the error: its approximation falls below the other's
+        chains += [[0.0, 0.999, 1.005] + [0.0] * 12,
+                   [0.0] * 9 + [0.999, 0.5, 1.005, 0.0, 1.004, 0.0],
+                   [0.0, 0.999, 0.0, 0.0, 0.0, 1.005, 2.004, 2.01] + [1.0] * 7]
         for i, bumps in enumerate(chains):
             table.clear()
             table.update({frozenset(sub): 7.0 * (1.0 + b * 1e-12)
                           for sub, b in zip(order, bumps)})
+            picked = []
+            best_set, best = sequential_exhaustive(g, 2, table.__getitem__,
+                                                   picks=picked)
+            shift.update({sub: error for sub in table})
+            shift.update({sub: -error for sub in picked})
             dep, score = optimize_exhaustive(g, 2, SCALE)
-            best_set, best = sequential_exhaustive(g, 2, table.__getitem__)
             assert dep.zd_nodes == best_set and score == best
             if i == 0:
                 assert best_set == frozenset(order[5])
 
+    @pytest.mark.parametrize("graph", ["complete", "star", "mesh"])
+    def test_approximations_within_bound(self, graph):
+        if graph == "complete":
+            g = Graph(40, combinations(range(40), 2))
+        else:
+            g = generate(graph, 80, seed=1)
+        slack = optimize._record_slack(g.n)
+        assert slack >= 2 * approximation_error(g.n)
+        worst = 0.0
+        for k in (1, 2, 3):
+            for block in lex_combinations(g.n - 1, k - 1, 64):
+                masks = np.zeros((len(block), g.n), dtype=bool)
+                np.put_along_axis(masks, block, True, axis=1)
+                approx = optimize._extension_scores(g, masks.T, SCALE).T
+                p, v = np.nonzero(~masks)
+                subsets = masks[p]
+                subsets[np.arange(len(p)), v] = True
+                exact = objective_from_mask(g, subsets, SCALE)
+                worst = max(worst, np.abs(approx[p, v] - exact).max())
+        assert worst <= slack / 4
+
+    @pytest.mark.parametrize("graph,k", [(("mesh", 80, 1), 4),
+                                         (("mesh", 23, 5), 11)])
+    def test_memory_stays_bounded(self, graph, k):
+        # C(80, 4) = 1,581,580 and C(23, 11) = 1,352,078 subsets
+        g = generate(*graph)
+        tracemalloc.start()
+        try:
+            dep, score = optimize_exhaustive(g, k, SCALE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert len(dep.zd_nodes) == k
+        assert score == evaluate(dep).objective
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=small_graphs(), scale=st.sampled_from([SCALE, SCALE_K2]))
+    def test_matches_sequential_reference_on_random_graphs(self, case, scale):
+        for k in range(1, case.n):
+            dep, score = optimize_exhaustive(case, k, scale)
+            best_set, _ = sequential_exhaustive(case, k, scale=scale)
+            assert dep.zd_nodes == best_set
+            assert score == evaluate(dep).objective
+
 
 # sha256 prefixes of GA output as "sorted set|repr(objective)|history" per
 # (topology, V, graph seed, K, population, generations), GA seed 7, and of
-# exhaustive output as "sorted set|repr(objective)" per (mesh-20 seed, K);
-# they pin the GA's random stream and the kernel's scores bit for bit
+# exhaustive output as "sorted set|repr(objective)" per (topology, V, graph
+# seed, K, scale); they pin the GA's random stream and the kernel's scores
+# bit for bit. "isolated" is mesh-9 with three isolated nodes added.
 GOLDEN_GA = {
     ("mesh", 80, 1, 1, 50, 40): "70fdefd926d95862",
     ("mesh", 80, 1, 5, 100, 300): "7fb15071c2b89dd3",
@@ -154,9 +253,15 @@ GOLDEN_GA = {
     ("star", 80, 0, 10, 100, 300): "eb1fa289bb91835b",
 }
 GOLDEN_EXHAUSTIVE = {
-    (0, 2): "6c8cdfc91ae62986",
-    (1, 3): "dba11f43d4c88390",
-    (2, 4): "4baacb4137f08a42",
+    ("mesh", 20, 0, 2, SCALE): "6c8cdfc91ae62986",
+    ("mesh", 20, 1, 3, SCALE): "dba11f43d4c88390",
+    ("mesh", 20, 2, 4, SCALE): "4baacb4137f08a42",
+    ("ring", 20, 0, 3, SCALE): "9080a6f9956ee0a5",
+    ("star", 20, 0, 2, SCALE): "5635288541564324",
+    ("tree", 20, 0, 4, SCALE): "3baf96a97ed30611",
+    ("mesh", 20, 3, 4, SCALE_K2): "7707a09db3993e05",
+    ("mesh", 80, 1, 3, SCALE): "4e1f725099bbff46",
+    ("isolated", 12, 3, 3, SCALE): "b6c2bc2830f10b3e",
 }
 
 
@@ -178,9 +283,12 @@ class TestGolden:
 
     @pytest.mark.parametrize("case", list(GOLDEN_EXHAUSTIVE))
     def test_exhaustive_output(self, case):
-        graph_seed, k = case
-        g = generate("mesh", 20, seed=graph_seed)
-        dep, objective = optimize_exhaustive(g, k, SCALE)
+        topology, n, graph_seed, k, scale = case
+        if topology == "isolated":
+            g = Graph(n, generate("mesh", 9, seed=graph_seed).edges())
+        else:
+            g = generate(topology, n, seed=graph_seed)
+        dep, objective = optimize_exhaustive(g, k, scale)
         text = f"{sorted(dep.zd_nodes)}|{objective!r}"
         assert _digest(text) == GOLDEN_EXHAUSTIVE[case]
 
