@@ -140,12 +140,12 @@ def _placement_tables(g: Graph, scale: PayoffScale):
     degrees = g.degrees
     width = int(degrees.max()) + 1
     adj_w = shared_adjacency(g).copy()
-    np.fill_diagonal(adj_w, width)
+    adj_w.flat[::g.n + 1] = width
     base = 2.0 * width * np.arange(g.n)
-    m = np.arange(width)
-    has_regular = (m < degrees[:, None]).astype(np.intp)
+    coop = _coop_table(scale, width - 1)[1]
     q = np.zeros((g.n, 2 * width))
-    q[:, :width] = _coop_table(scale, width - 1)[1][has_regular, m]
+    q[:, :width] = np.where(np.arange(width) < degrees[:, None],
+                            coop[1], coop[0])
     for table in (adj_w, base, q):
         table.flags.writeable = False
     return adj_w, base, q.ravel()

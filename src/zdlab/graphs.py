@@ -22,11 +22,12 @@ class Graph:
 
     Adjacency is stored in CSR form: the neighbours of ``u`` are
     ``indices[indptr[u]:indptr[u + 1]]``, sorted ascending, both int32 and
-    read-only. ``edges`` may list an edge in either direction and more than
-    once; self-loops and out-of-range ids are rejected.
+    read-only, and ``degrees`` holds their counts (int32, read-only).
+    ``edges`` may list an edge in either direction and more than once;
+    self-loops and out-of-range ids are rejected.
     """
 
-    __slots__ = ("n", "indptr", "indices")
+    __slots__ = ("n", "indptr", "indices", "degrees")
 
     def __init__(self, n: int, edges):
         if n < 1:
@@ -46,21 +47,19 @@ class Graph:
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
         indices = (keys % n).astype(np.int32)
-        indptr.flags.writeable = False
-        indices.flags.writeable = False
+        degrees = np.diff(indptr)
+        for values in (indptr, indices, degrees):
+            values.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "degrees", degrees)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
     def neighbors(self, u) -> list[int]:
         return self.indices[self.indptr[u]:self.indptr[u + 1]].tolist()
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
 
     @property
     def edge_count(self):

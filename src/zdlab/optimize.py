@@ -3,6 +3,7 @@ incentive-field objective, by genetic algorithm or exhaustive search."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -117,6 +118,19 @@ def optimize_ga(g: Graph, k: int, scale: PayoffScale,
     return dep, float(scores[best]), history
 
 
+@functools.lru_cache(maxsize=8)
+def _binomials(n: int, k: int) -> np.ndarray:
+    """Read-only (k, n) int64 table whose row j - 1 holds C(b, j) for
+    b in range(n), each capped at C(n, k): rows stay nondecreasing, a
+    capped entry exceeds every sum :func:`lex_combinations` searches for,
+    and no entry overflows int64 (C(79, 39) alone is about 5e22)."""
+    total = math.comb(n, k)
+    table = np.array([[min(math.comb(b, j), total) for b in range(n)]
+                      for j in range(1, k + 1)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
 def lex_combinations(n: int, k: int, rows: int):
     """The k-subsets of range(n) in lexicographic order, as (rows, k)
     arrays of ascending elements (the last block may be shorter).
@@ -127,17 +141,13 @@ def lex_combinations(n: int, k: int, rows: int):
     largest b with C(b, k-i) at most what is left of that sum.
     """
     total = math.comb(n, k)
-    # C(b, j) capped at the total: rows stay nondecreasing, a capped entry
-    # exceeds every sum searched for, and no entry overflows int64 (C(79, 39)
-    # alone is about 5e22)
-    table = np.array([[min(math.comb(b, j), total) for b in range(n)]
-                      for j in range(k + 1)], dtype=np.int64)
+    table = _binomials(n, k)
     steps = np.arange(rows, dtype=np.int64)
     for start in range(0, total, rows):
         left = (total - 1 - start) - steps[:total - start]
         block = np.empty((len(left), k), dtype=np.intp)
         for i in range(k):
-            row = table[k - i]
+            row = table[k - i - 1]
             b = np.searchsorted(row, left, side="right") - 1
             left -= row[b]
             block[:, i] = n - 1 - b
@@ -184,6 +194,32 @@ def _extension_scores(g: Graph, masks: np.ndarray,
     return (q0.sum(axis=0) - q0) + shared_adjacency(g) @ d
 
 
+def _plan_blocks(n: int, k: int, rows: int):
+    """The part of :func:`optimize_exhaustive`'s blocks that does not read
+    the graph: for each block of ``rows`` (K-1)-prefixes of range(n - 1),
+    in lexicographic order, read-only (n, rows) boolean arrays
+    ``(masks, valid)``. Column p of ``masks`` holds prefix p, and
+    ``valid[v, p]`` says that v may extend it (v > max of the prefix)."""
+    nodes = np.arange(n)
+    # later[v, j]: v may extend a prefix whose last node is j - 1
+    later = nodes[:, None] >= nodes
+    for block in lex_combinations(n - 1, k - 1, rows):
+        # one column per prefix, so the search's reductions over axis 0 run
+        # vectorized across prefixes
+        masks = np.zeros((n, len(block)), dtype=bool)
+        masks[block.T, np.arange(len(block))] = True
+        start = block[:, -1] + 1 if k > 1 else np.zeros(len(block), dtype=np.intp)
+        valid = later[:, start]
+        masks.flags.writeable = valid.flags.writeable = False
+        yield masks, valid
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_plan(n: int, k: int, rows: int) -> tuple:
+    """All of :func:`_plan_blocks`, kept per (n, k, rows)."""
+    return tuple(_plan_blocks(n, k, rows))
+
+
 def optimize_exhaustive(g: Graph, k: int, scale: PayoffScale,
                         cap: int = 2_000_000):
     """Exact optimum by enumeration in lexicographic order; a subset
@@ -197,6 +233,8 @@ def optimize_exhaustive(g: Graph, k: int, scale: PayoffScale,
     approximation exceeds the approximate running maximum before them,
     minus :func:`_record_slack`, can be strict records of the kernel's
     scores, and only those are re-scored by :func:`objective_from_mask`.
+    The prefix blocks come from :func:`_plan_blocks`, kept per shape by
+    :func:`_cached_plan` while they are small.
     """
     _check_k(g, k)
     total = math.comb(g.n, k)
@@ -207,19 +245,14 @@ def optimize_exhaustive(g: Graph, k: int, scale: PayoffScale,
     n = g.n
     slack = _record_slack(n)
     rows = max(1, EXHAUSTIVE_BLOCK // n)
-    nodes = np.arange(n)
-    # later[v, j]: v may extend a prefix whose last node is j - 1
-    later = nodes[:, None] >= nodes
     best, best_score = None, -math.inf
     seen_approx = seen_max = -math.inf
-    for block in lex_combinations(n - 1, k - 1, rows):
-        # one column per prefix, so the reductions below over axis 0 run
-        # vectorized across prefixes
-        masks = np.zeros((n, len(block)), dtype=bool)
-        masks[block.T, np.arange(len(block))] = True
-        start = block[:, -1] + 1 if k > 1 else np.zeros(len(block), dtype=np.intp)
-        approx = np.where(later[:, start], _extension_scores(g, masks, scale),
-                          -math.inf)
+    # a plan of at most 32 blocks' worth of mask entries (512 KB for both
+    # arrays at the default block) is built once per shape; a larger one
+    # streams, so memory stays O(block)
+    small = n * math.comb(n - 1, k - 1) <= 32 * EXHAUSTIVE_BLOCK
+    for masks, valid in (_cached_plan if small else _plan_blocks)(n, k, rows):
+        approx = np.where(valid, _extension_scores(g, masks, scale), -math.inf)
         # prefixes holding a possible record, by their best extension and
         # the approximate running maximum over earlier prefixes
         top = approx.max(axis=0)

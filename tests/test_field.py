@@ -15,6 +15,7 @@ from zdlab.graphs import (TOPOLOGIES, Graph, TraceRecord, generate,
                           ingest_trace)
 
 SCALE = PayoffScale(2, 1, 3)  # r(n) = 2n + 3
+SCALE_K2 = PayoffScale(2, 2, 3)
 
 
 def reference_q(g, zd_nodes, scale):
@@ -29,6 +30,21 @@ def reference_q(g, zd_nodes, scale):
         n_zd = sum(v in zd_nodes for v in neigh)
         q[u] = coop_probability(node_delta(n_zd, len(neigh) > n_zd, scale))
     return q
+
+
+def reference_tables(g, scale):
+    """The kernel's tables ``(adj_w, base, q)`` built step by step, as
+    :func:`zdlab.field._placement_tables` documents them."""
+    degrees = np.diff(g.indptr)
+    width = int(degrees.max()) + 1
+    adj_w = adjacency_matrix(g).copy()
+    np.fill_diagonal(adj_w, width)
+    base = 2.0 * width * np.arange(g.n)
+    m = np.arange(width)
+    has_regular = (m < degrees[:, None]).astype(np.intp)
+    q = np.zeros((g.n, 2 * width))
+    q[:, :width] = zdlab.field._coop_table(scale, width - 1)[1][has_regular, m]
+    return adj_w, base, q.ravel()
 
 
 class TestNodeDelta:
@@ -218,6 +234,21 @@ class TestMaskObjective:
             q = reference_q(g, zd, SCALE)
             assert result.q[list(q)].tolist() == list(q.values())
             assert abs(score - sum(q.values())) <= 1e-9
+
+    @pytest.mark.parametrize("scale", [SCALE, SCALE_K2])
+    @pytest.mark.parametrize("graph", [("mesh", 20, 0), ("mesh", 80, 1),
+                                       ("ring", 12, 0), ("star", 15, 0),
+                                       ("tree", 30, 0), "isolated"])
+    def test_tables_match_reference(self, graph, scale):
+        if graph == "isolated":
+            g = Graph(12, generate("mesh", 9, seed=3).edges())
+        else:
+            g = generate(*graph)
+        tables = zdlab.field._placement_tables(g, scale)
+        for got, want in zip(tables, reference_tables(g, scale), strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert (got == want).all()
+            assert not got.flags.writeable
 
     def test_adjacency_matrix(self):
         adj = adjacency_matrix(Graph(3, [(0, 1)]))

@@ -105,10 +105,13 @@ class TestGraph:
         assert g.indices.tolist() == [1, 3, 4, 0, 2, 1, 0, 0]
         assert g.neighbors(0) == [1, 3, 4]
         assert g.degrees.tolist() == [3, 2, 1, 1, 1]
-        with pytest.raises(AttributeError):
-            g.n = 6
-        with pytest.raises(ValueError):
-            g.indices[0] = 2
+        assert g.degrees.dtype == np.int32
+        for name in ("n", "degrees"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, 6)
+        for values in (g.indices, g.degrees):
+            with pytest.raises(ValueError):
+                values[0] = 2
 
     def test_isolated_nodes(self):
         g = Graph(4, [])

@@ -223,6 +223,48 @@ class TestExhaustive:
         assert len(dep.zd_nodes) == k
         assert score == evaluate(dep).objective
 
+    def test_plan_blocks_hold_prefixes_and_extensions(self):
+        for n in range(2, 10):
+            for k in range(1, n):
+                prefixes = [list(c) for c in combinations(range(n - 1), k - 1)]
+                for rows in (1, 3, 409):
+                    plan = list(optimize._plan_blocks(n, k, rows))
+                    for blocks in (plan, optimize._cached_plan(n, k, rows)):
+                        masks = np.concatenate([m for m, _ in blocks], axis=1)
+                        valid = np.concatenate([v for _, v in blocks], axis=1)
+                        assert [np.flatnonzero(c).tolist() for c in masks.T] == prefixes
+                        assert valid.tolist() == [
+                            [v > max(t, default=-1) for t in prefixes]
+                            for v in range(n)]
+                        for pair in blocks:
+                            assert all(a.shape == (n, pair[0].shape[1])
+                                       and not a.flags.writeable for a in pair)
+
+    # C(79, 2) prefixes of mesh-80 K=3 make 246,480 mask entries, within
+    # 32 x EXHAUSTIVE_BLOCK; mesh-80 K=4 (6.3 M) and mesh-23 K=11 (14.9 M)
+    # stream
+    @pytest.mark.parametrize("graph,k,cached", [(("mesh", 80, 1), 3, 1),
+                                                (("mesh", 80, 1), 4, 0),
+                                                (("mesh", 23, 5), 11, 0)])
+    def test_plan_cached_only_when_small(self, graph, k, cached):
+        optimize._cached_plan.cache_clear()
+        optimize_exhaustive(generate(*graph), k, SCALE)
+        assert optimize._cached_plan.cache_info().currsize == cached
+
+    def test_plan_per_block_size(self, monkeypatch):
+        g = generate("ring", 8)
+        optimize._cached_plan.cache_clear()
+        expected = optimize_exhaustive(g, 3, SCALE)
+        # 8 x C(7, 2) = 168 mask entries: a plan of its own at 40-entry
+        # blocks (5 rows), found again at the second search, streamed at
+        # one-entry blocks (a bound of 32), and the default's plan found again
+        for block in (40, 40, 1, 8192):
+            monkeypatch.setattr(optimize, "EXHAUSTIVE_BLOCK", block)
+            dep, score = optimize_exhaustive(g, 3, SCALE)
+            assert (dep.zd_nodes, score) == (expected[0].zd_nodes, expected[1])
+            assert optimize._cached_plan.cache_info().currsize == 2
+        assert optimize._cached_plan.cache_info().hits == 2
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(case=small_graphs(), scale=st.sampled_from([SCALE, SCALE_K2]))
     def test_matches_sequential_reference_on_random_graphs(self, case, scale):
@@ -288,9 +330,12 @@ class TestGolden:
             g = Graph(n, generate("mesh", 9, seed=graph_seed).edges())
         else:
             g = generate(topology, n, seed=graph_seed)
-        dep, objective = optimize_exhaustive(g, k, scale)
-        text = f"{sorted(dep.zd_nodes)}|{objective!r}"
-        assert _digest(text) == GOLDEN_EXHAUSTIVE[case]
+        # a search that builds its plan, then one that finds it cached
+        optimize._cached_plan.cache_clear()
+        for _ in range(2):
+            dep, objective = optimize_exhaustive(g, k, scale)
+            text = f"{sorted(dep.zd_nodes)}|{objective!r}"
+            assert _digest(text) == GOLDEN_EXHAUSTIVE[case]
 
 
 class TestGA:
