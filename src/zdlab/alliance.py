@@ -10,19 +10,16 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InfeasibleError
-from .game import (COOPERATE, DEFECT, GameShape, PayoffVectors,
-                   alliance_unison_payoff, lumped_payoff_vectors,
-                   outsider_unison_payoff, payoff_vectors)
+from .game import (COOPERATE, GameShape, lumped_payoff_vectors,
+                   payoff_vectors, unison_payoffs)
 from .markov import (FollowerStrategy, LeaderStrategy, build_lumped_matrix,
                      build_transition_matrix, expected_payoffs,
                      leader_table_shape, splits_transient, stationary)
-
-_F_ZERO = 1e-15
 
 
 @dataclass(frozen=True)
@@ -44,7 +41,7 @@ class ZDParams:
 @dataclass(frozen=True)
 class SynthesisResult:
     strategy: LeaderStrategy
-    f_unison: dict
+    f_unison: np.ndarray
     f_vector: np.ndarray
     phi: float
     phi_interval: tuple
@@ -82,44 +79,43 @@ def feasible_l_range(chi: float, shape: GameShape):
     return l_min, l_max
 
 
-def _unison_outcomes(shape):
-    """(unison_action, total_cooperators) pairs, cooperation first."""
-    n, na = shape.n_players, shape.n_alliance
-    for b in range(na, n + 1):
-        yield (COOPERATE, b)
-    for b in range(0, n - na + 1):
-        yield (DEFECT, b)
+def _zero_band(chi, l, unison):
+    """Magnitude below which each ``f`` entry counts as 0: 2**-48 S, where
+    S = chi g_A + g_O + (1 + chi) |l| sums the magnitudes of the terms of
+    f = chi (g_A - l) - (g_O - l) (chi and the payoffs are nonnegative).
+    With u = 2**-53, to first order, evaluating f adds at most 3 u S, the
+    closed forms' rounding 6 u S and that of an end of ``feasible_l_range``
+    (eight operations) 11 u S: at either end of the range the boundary
+    outcome, whose real f is 0, stays within the band."""
+    return 2.0 ** -48 * (chi * unison.alliance + unison.outsiders
+                         + (1.0 + chi) * abs(l))
 
 
-def _f_value(chi, l, s, b, shape):
-    ga = alliance_unison_payoff(s, b, shape)
-    go = outsider_unison_payoff(s, b, shape)
-    return chi * (ga - l) - (go - l)
-
-
-def _phi_interval(f_table):
-    """Feasible scaling interval on each sign branch.
-
-    Cooperation outcomes need ``phi * f`` in [-1, 0]; defection outcomes
-    need it in [0, 1]. Returns ``(pos_hi, neg_lo, violator)`` where a zero
-    bound marks an empty branch and ``violator`` names the outcome that
-    emptied both.
+def _phi_interval(f, zero):
+    """Feasible scaling interval on each sign branch of the (2, N + 1)
+    unison table ``f`` (NaN where impossible); entries within ``zero`` of 0
+    set no bound. Cooperation outcomes need ``phi * f`` in [-1, 0],
+    defection outcomes in [0, 1]. Returns ``(pos_hi, neg_lo, violator)``:
+    a zero bound marks an empty branch, and ``violator`` is the outcome,
+    cooperation first and b ascending, from which both are empty.
     """
-    pos_hi, neg_lo = math.inf, -math.inf
-    violator = None
-    for (s, b), fv in f_table.items():
-        if abs(fv) < _F_ZERO:
-            continue
-        lo, hi = (-1.0, 0.0) if s == COOPERATE else (0.0, 1.0)
-        a1, a2 = sorted((lo / fv, hi / fv))
-        pos_hi = min(pos_hi, a2 if a2 > 0 else 0.0)
-        neg_lo = max(neg_lo, a1 if a1 < 0 else 0.0)
-        if pos_hi == 0.0 and neg_lo == 0.0 and violator is None:
-            violator = (s, b)
-    return pos_hi, neg_lo, violator
+    # each entry's bound on phi, cooperation first: -1/f or 1/f; NaN if none
+    bound = ([[-1.0], [1.0]]
+             / np.where(np.abs(f) >= zero, f, np.nan)[::-1]).ravel()
+    # running bound of each branch; fmin and fmax pass over NaN
+    pos = np.fmin.accumulate(np.maximum(bound, 0.0))
+    neg = np.fmax.accumulate(np.minimum(bound, 0.0))
+    pos_hi, neg_lo = float(pos[-1]), float(neg[-1])
+    if math.isnan(pos_hi):  # no entry sets a bound
+        return math.inf, -math.inf, None
+    if pos_hi > 0.0 or neg_lo < 0.0:
+        return pos_hi, neg_lo, None
+    # pos >= 0 >= neg, so both branches are empty from where they meet
+    s, b = divmod(int(np.argmax(pos == neg)), f.shape[1])
+    return pos_hi, neg_lo, (1 - s, b)
 
 
-def synthesize(params: ZDParams, payoffs: PayoffVectors | None = None) -> SynthesisResult:
+def synthesize(params: ZDParams) -> SynthesisResult:
     """Derive the shared alliance strategy enforcing the requested relation.
 
     The strategy table covers every leader index; indices reachable only
@@ -133,9 +129,10 @@ def synthesize(params: ZDParams, payoffs: PayoffVectors | None = None) -> Synthe
             f"baseline {l} outside enforceable range [{l_min}, {l_max}]"
         )
 
-    f_table = {(s, b): _f_value(chi, l, s, b, shape)
-               for s, b in _unison_outcomes(shape)}
-    pos_hi, neg_lo, violator = _phi_interval(f_table)
+    unison = unison_payoffs(shape)
+    f = chi * (unison.alliance - l) - (unison.outsiders - l)
+    f.flags.writeable = False
+    pos_hi, neg_lo, violator = _phi_interval(f, _zero_band(chi, l, unison))
     if pos_hi <= 0.0 and neg_lo >= 0.0:
         where = f"outcome {violator}" if violator else "conflicting outcomes"
         raise InfeasibleError(f"no nonzero scaling satisfies {where}")
@@ -147,22 +144,16 @@ def synthesize(params: ZDParams, payoffs: PayoffVectors | None = None) -> Synthe
             raise InfeasibleError(f"scaling {phi} outside feasible interval")
         interval = (0.0, pos_hi) if phi > 0 else (neg_lo, 0.0)
     else:
-        if pos_hi >= -neg_lo:
-            interval = (0.0, pos_hi)
-        else:
-            interval = (neg_lo, 0.0)
+        interval = (0.0, pos_hi) if pos_hi >= -neg_lo else (neg_lo, 0.0)
         phi = (interval[0] + interval[1]) / 2.0
 
-    strategy = _alliance_strategy(shape, f_table, phi)
-    if payoffs is None:
-        payoffs = payoff_vectors(shape)
+    strategy = _alliance_strategy(shape, f, phi)
+    payoffs = payoff_vectors(shape)
     f_vector = chi * (payoffs.alliance - l) - (payoffs.outsiders - l)
-
-    result = SynthesisResult(strategy, f_table, f_vector, phi, interval,
-                             math.nan, params)
-    certificate = verify_enforcement(result, _default_outsiders(shape))
-    return SynthesisResult(strategy, f_table, f_vector, phi, interval,
-                           certificate, params)
+    result = SynthesisResult(strategy, f, f_vector, phi, interval, math.nan,
+                             params)
+    return replace(result, certificate=verify_enforcement(
+        result, _default_outsiders(shape)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -181,13 +172,10 @@ def _strategy_indices(shape):
     return outcome, unison, cooperate
 
 
-def _alliance_strategy(shape, f_table, phi):
+def _alliance_strategy(shape, f, phi):
     # unison outcome (s, b) behind each index; other indices are reachable
     # only when the alliance splits and get probability 0
     outcome, unison, cooperate = _strategy_indices(shape)
-    f = np.zeros((2, shape.n_players + 1))
-    for (a, b), fv in f_table.items():
-        f[a, b] = fv
     step = phi * f.take(outcome)
     p = np.where(unison, np.where(cooperate, step + 1.0, step), 0.0)
     escaped = ~((p >= -1e-9) & (p <= 1.0 + 1e-9))

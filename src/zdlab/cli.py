@@ -3,7 +3,8 @@
 Subcommands: topo, ingest, metrics, synth, verify, field, opt, sweep.
 Exit codes: 0 success, 2 configuration or input error, 3 infeasibility,
 4 numerical failure (the stationary solve did not converge, or the
-determinant normalization degenerated).
+determinant normalization degenerated), 141 stdout closed by its reader
+(a broken pipe; nothing more is printed).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import statistics
 import sys
 import time
@@ -60,7 +62,6 @@ class ExperimentConfig:
     k_max: int
     k_step: int = 1
     ga: GAConfig = GAConfig()
-    ratio_mode: str = "expected"
     ratio_rounds: int = 1000
     repetitions: int = 30
     seed: int = 0
@@ -158,9 +159,9 @@ def load_config(doc: dict) -> ExperimentConfig:
 
     ratio_doc = _typed(doc, "ratio", _OBJ, "config", {})
     _require_keys(ratio_doc, ("mode", "rounds"), "ratio")
-    ratio_mode = _typed(ratio_doc, "mode", _STR, "ratio", "expected")
-    if ratio_mode not in ("expected", "monte_carlo"):
-        raise ConfigError(f"unknown ratio mode {ratio_mode!r}")
+    mode = _typed(ratio_doc, "mode", _STR, "ratio", "expected")
+    if mode not in ("expected", "monte_carlo"):
+        raise ConfigError(f"unknown ratio mode {mode!r}")
     ratio_rounds = _typed(ratio_doc, "rounds", _INT, "ratio", 1000)
     # the Monte Carlo draw takes its round count as a 64-bit integer
     if not 1 <= ratio_rounds <= 2**63 - 1:
@@ -172,7 +173,7 @@ def load_config(doc: dict) -> ExperimentConfig:
 
     return ExperimentConfig(topology=topology, scale=scale, k_min=k_min,
                             k_max=k_max, k_step=k_step, ga=ga,
-                            ratio_mode=ratio_mode, ratio_rounds=ratio_rounds,
+                            ratio_rounds=ratio_rounds,
                             repetitions=repetitions,
                             seed=_typed(doc, "seed", _INT, "config", 0),
                             output=_typed(doc, "output", _STR, "config"))
@@ -375,10 +376,10 @@ def cmd_synth(args):
     shape = _shape_from_args(args)
     params = zd.ZDParams(args.chi, args.l, shape, args.phi)
     result = zd.synthesize(params)
-    table = result.strategy.table
+    f, table = result.f_unison, result.strategy.table
     report = {
-        "f": {f"{'c' if s else 'd'},{b}": fv
-              for (s, b), fv in sorted(result.f_unison.items(), reverse=True)},
+        "f": {f"{'c' if s else 'd'},{b}": float(f[s, b])
+              for s, b in reversed(np.argwhere(~np.isnan(f)).tolist())},
         "phi_interval": list(result.phi_interval),
         "phi": result.phi,
         "strategy": {f"{'c' if s else 'd'},{x},{y}": float(table[s, x, y])
@@ -530,7 +531,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_finite(args)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -540,6 +543,11 @@ def main(argv=None) -> int:
     except (ConvergenceError, DegenerateChainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
+    except BrokenPipeError:
+        # the reader has gone: print nothing, and point stdout at devnull so
+        # the interpreter's last flush cannot raise again (128 + SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ZdlabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -75,10 +75,6 @@ class GameShape:
     def n_states(self):
         return 1 << self.n_players
 
-    @property
-    def alliance(self):
-        return range(self.n_alliance)
-
 
 @functools.lru_cache(maxsize=None)
 def state_bits(n_players: int) -> np.ndarray:
@@ -115,39 +111,31 @@ def is_social_dilemma(r: float) -> bool:
 
 def alliance_unison_payoff(unison_action: int, total_cooperators: int,
                            shape: GameShape) -> float:
-    """Closed-form average alliance payoff when the alliance acts in unison."""
-    b, n = total_cooperators, shape.n_players
-    _check_unison_count(unison_action, b, shape)
-    if unison_action == COOPERATE:
-        return shape.r * b / n
-    return shape.r * b / n + 1.0
+    """Average alliance payoff when the alliance acts in unison."""
+    return _unison_entry(unison_payoffs(shape).alliance, unison_action,
+                         total_cooperators)
 
 
 def outsider_unison_payoff(unison_action: int, total_cooperators: int,
                            shape: GameShape) -> float:
-    """Closed-form average outsider payoff when the alliance acts in unison."""
-    b, n, na = total_cooperators, shape.n_players, shape.n_alliance
-    _check_unison_count(unison_action, b, shape)
-    base = shape.r * b / n
-    if unison_action == COOPERATE:
-        return ((b - na) * base + (n - b) * (base + 1.0)) / (n - na)
-    return (b * base + (n - na - b) * (base + 1.0)) / (n - na)
+    """Average outsider payoff when the alliance acts in unison."""
+    return _unison_entry(unison_payoffs(shape).outsiders, unison_action,
+                         total_cooperators)
 
 
-def _check_unison_count(unison_action, b, shape):
-    if unison_action == COOPERATE:
-        if not shape.n_alliance <= b <= shape.n_players:
-            raise ValueError("cooperator count impossible for a cooperating alliance")
-    elif unison_action == DEFECT:
-        if not 0 <= b <= shape.n_players - shape.n_alliance:
-            raise ValueError("cooperator count impossible for a defecting alliance")
-    else:
+def _unison_entry(table, s, b):
+    """Entry [s, b] of a :func:`unison_payoffs` table, if it can occur."""
+    if s not in (COOPERATE, DEFECT):
         raise ValueError("unison action must be 0 or 1")
+    if not 0 <= b < table.shape[1] or np.isnan(table[s, b]):
+        side = "cooperating" if s == COOPERATE else "defecting"
+        raise ValueError(f"cooperator count impossible for a {side} alliance")
+    return float(table[s, b])
 
 
 @dataclass(frozen=True)
 class PayoffVectors:
-    """State-indexed average payoffs of alliance members and outsiders."""
+    """Average alliance and outsider payoffs, by state or by unison outcome."""
 
     alliance: np.ndarray
     outsiders: np.ndarray
@@ -180,19 +168,31 @@ def payoff_vectors(shape: GameShape) -> PayoffVectors:
 
 
 @functools.lru_cache(maxsize=None)
+def unison_payoffs(shape: GameShape) -> PayoffVectors:
+    """Closed-form average payoffs of the unison outcomes: read-only
+    (2, N + 1) arrays indexed [s, b] by the alliance's common action s and
+    the total cooperator count b, NaN where b cannot occur with s."""
+    n, na = shape.n_players, shape.n_alliance
+    b = np.arange(n + 1)
+    base = shape.r * b / n
+    tables = (np.stack([base + 1.0, base]),
+              np.stack([(b * base + (n - na - b) * (base + 1.0)) / (n - na),
+                        ((b - na) * base + (n - b) * (base + 1.0)) / (n - na)]))
+    for table in tables:
+        table[0, n - na + 1:] = table[1, :na] = np.nan
+        table.flags.writeable = False
+    return PayoffVectors(*tables, shape)
+
+
+@functools.lru_cache(maxsize=None)
 def lumped_payoff_vectors(shape: GameShape) -> PayoffVectors:
-    """The closed-form unison payoffs on the alliance-lumped states: bit 0
-    is the alliance's unison action, the other bits are the outsiders
-    (leaders, then followers)."""
-    na = shape.n_alliance
-    bits = state_bits(shape.n_players - na + 1)
-    outcomes = list(zip(bits[:, 0].tolist(),
-                        (na * bits[:, 0] + bits[:, 1:].sum(axis=1)).tolist()))
-
-    def closed_form(payoff):
-        vec = np.array([payoff(s, b, shape) for s, b in outcomes])
+    """The unison payoffs on the alliance-lumped states: bit 0 is the
+    alliance's unison action, the other bits are the outsiders (leaders,
+    then followers)."""
+    bits = state_bits(shape.n_players - shape.n_alliance + 1)
+    s, b = bits[:, 0], shape.n_alliance * bits[:, 0] + bits[:, 1:].sum(axis=1)
+    table = unison_payoffs(shape)
+    vectors = table.alliance[s, b], table.outsiders[s, b]
+    for vec in vectors:
         vec.flags.writeable = False
-        return vec
-
-    return PayoffVectors(closed_form(alliance_unison_payoff),
-                         closed_form(outsider_unison_payoff), shape)
+    return PayoffVectors(*vectors, shape)

@@ -1,17 +1,20 @@
 import dataclasses
 import hashlib
+import inspect
+import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zdlab.alliance import (ZDParams, _default_outsiders, alliance_admissible,
-                            dominance_check, feasible_l_range, incentive_menu,
+from zdlab.alliance import (ZDParams, _default_outsiders, _phi_interval,
+                            _zero_band, alliance_admissible, dominance_check,
+                            feasible_l_range, incentive_menu,
                             random_outsiders, stationary_payoffs, synthesize,
                             verify_enforcement)
 from zdlab.errors import InfeasibleError
-from zdlab.game import GameShape, payoff_vectors
+from zdlab.game import GameShape, payoff_vectors, unison_payoffs
 from zdlab.markov import (LeaderStrategy, build_transition_matrix,
                           expected_payoffs, splits_transient, stationary,
                           zd_determinant)
@@ -22,6 +25,66 @@ FIG_SHAPE = GameShape(3, 2, 2, 9.0)
 SMALL_SHAPES = [shape for n in range(2, 8) for r in (2.0 * n + 3.0, 4.0 * n)
                 for nl in range(1, n + 1) for na in range(1, min(nl, n - 1) + 1)
                 if alliance_admissible(shape := GameShape(n, nl, na, r))]
+
+# every admissible split of N = 2..10 players at four payoff factors (r = 9
+# appears twice at N = 3)
+GRID_SHAPES = [shape for n in range(2, 11)
+               for r in (2.0 * n + 3, n + 0.5, 1.5 * n, 3.0 * n)
+               for nl in range(1, n + 1) for na in range(1, min(nl, n - 1) + 1)
+               if alliance_admissible(shape := GameShape(n, nl, na, r))]
+
+
+def reference_phi_interval(f, zero):
+    """Scalar loop over the unison outcomes (s, b) of the (2, N + 1) table
+    ``f``, cooperation first and b ascending, skipping impossible (NaN)
+    outcomes and entries within ``zero`` of 0: the feasible scaling
+    interval ``(pos_hi, neg_lo, violator)`` of ``_phi_interval``."""
+    pos_hi, neg_lo = math.inf, -math.inf
+    violator = None
+    for s in (1, 0):
+        for b in range(f.shape[1]):
+            fv = float(f[s, b])
+            if math.isnan(fv) or abs(fv) < zero[s, b]:
+                continue
+            lo, hi = (-1.0, 0.0) if s == 1 else (0.0, 1.0)
+            a1, a2 = sorted((lo / fv, hi / fv))
+            pos_hi = min(pos_hi, a2 if a2 > 0 else 0.0)
+            neg_lo = max(neg_lo, a1 if a1 < 0 else 0.0)
+            if pos_hi == 0.0 and neg_lo == 0.0 and violator is None:
+                violator = (s, b)
+    return pos_hi, neg_lo, violator
+
+
+@st.composite
+def f_tables(draw):
+    """A unison table of f values with its zero band. Each possible
+    outcome holds 0, a value strictly within the band, a value at the
+    band's edge or an ordinary value; a row may be held to one sign."""
+    n = draw(st.integers(2, 10))
+    na = draw(st.integers(1, n - 1))
+    shape = GameShape(n, na, na, draw(st.sampled_from([n + 0.5, 2.0 * n + 3])))
+    unison = unison_payoffs(shape)
+    zero = _zero_band(draw(st.sampled_from([0.0, 0.3, 0.9])),
+                      draw(st.floats(0.5, 4.0 * n)), unison)
+    f = np.full((2, n + 1), np.nan)
+    for s, b in np.argwhere(~np.isnan(unison.alliance)).tolist():
+        kind = draw(st.sampled_from(["zero", "inside", "edge", "value"]))
+        if kind == "zero":
+            f[s, b] = 0.0
+        elif kind == "inside":
+            f[s, b] = draw(st.floats(0.0, 0.99)) * zero[s, b]
+        elif kind == "edge":
+            f[s, b] = zero[s, b]
+        else:
+            f[s, b] = draw(st.floats(1e-3, 50.0))
+    for s in (0, 1):
+        sign = draw(st.sampled_from(["mixed", "positive", "negative"]))
+        if sign == "mixed":
+            f[s] *= draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                  min_size=n + 1, max_size=n + 1))
+        elif sign == "negative":
+            f[s] *= -1.0
+    return f, zero
 
 
 def full_chain_payoffs(result, outsiders):
@@ -70,6 +133,21 @@ class TestFeasibleRange:
                     with pytest.raises(InfeasibleError):
                         synthesize(ZDParams(chi, l, shape))
 
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_range_ends_enforceable_on_grid(self, n):
+        # every end of the feasible range synthesizes (76 of the grid's
+        # 2,560 ends once failed on an f entry that rounds to 1-2e-15
+        # instead of 0), and 1e-3 beyond either end still fails
+        for shape in (s for s in GRID_SHAPES if s.n_players == n):
+            for chi in (0.0, 0.3, 0.6, 0.9):
+                l_min, l_max = feasible_l_range(chi, shape)
+                for l in (l_min, l_max):
+                    result = synthesize(ZDParams(chi, l, shape))
+                    assert result.certificate <= 1e-8
+                for l in (l_min - 1e-3, l_max + 1e-3):
+                    with pytest.raises(InfeasibleError):
+                        synthesize(ZDParams(chi, l, shape))
+
     def test_inadmissible_shape_rejected(self):
         with pytest.raises(InfeasibleError):
             feasible_l_range(0.0, GameShape(3, 2, 2, 2.0))
@@ -113,6 +191,35 @@ class TestSynthesis:
                        0b000: (0, 0), 0b100: (0, 1)}
         for state, key in state_cases.items():
             assert result.f_vector[state] == pytest.approx(result.f_unison[key])
+
+    def test_f_unison_is_read_only_table(self):
+        shape = GameShape(5, 4, 3, 13.0)
+        result = synthesize(ZDParams(0.3, 6.0, shape))
+        f = result.f_unison
+        assert f.shape == (2, 6)
+        assert not f.flags.writeable
+        unison = unison_payoffs(shape)
+        np.testing.assert_array_equal(
+            f, 0.3 * (unison.alliance - 6.0) - (unison.outsiders - 6.0))
+        assert np.isnan(f[1, :3]).all() and np.isnan(f[0, 3:]).all()
+        assert not np.isnan(f[1, 3:]).any() and not np.isnan(f[0, :3]).any()
+        assert "payoffs" not in inspect.signature(synthesize).parameters
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(table=f_tables())
+    def test_phi_interval_matches_reference_loop(self, table):
+        f, zero = table
+        assert _phi_interval(f, zero) == reference_phi_interval(f, zero)
+
+    def test_phi_interval_names_first_violator(self):
+        # positive cooperation entries empty the positive branch, and the
+        # positive defection entry b = 0 then empties the negative one
+        f = np.array([[2.0, 1.0, np.nan], [np.nan, 4.0, 5.0]])
+        zero = np.full(f.shape, 1e-12)
+        assert _phi_interval(f, zero) == (0.0, 0.0, (0, 0))
+        assert reference_phi_interval(f, zero) == (0.0, 0.0, (0, 0))
+        f[0, 0] = 1e-13  # within the band: no bound, the violator moves on
+        assert _phi_interval(f, zero) == (0.0, 0.0, (0, 1))
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

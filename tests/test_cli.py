@@ -2,15 +2,22 @@ import csv
 import hashlib
 import json
 import math
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zdlab
 import zdlab.alliance
 import zdlab.graphs
+from zdlab.alliance import feasible_l_range
 from zdlab.cli import (CSV_VERSION, SWEEP_COLUMNS, load_config, main,
                        run_sweep, write_sweep_csv)
 from zdlab.errors import ConfigError, ConvergenceError
+from zdlab.game import GameShape
 from zdlab.graphs import Graph
 
 
@@ -41,6 +48,67 @@ def strip_wall(path):
         cells[idx] = ""
         out.append(",".join(cells))
     return out
+
+
+def synth_argv(dims, chi, frac):
+    """``zdlab synth`` options for a (players, leaders, alliance, r) game
+    at the baseline ``frac`` of the way across the feasible range."""
+    n, nl, na, r = dims
+    l_min, l_max = feasible_l_range(chi, GameShape(n, nl, na, r))
+    return ["--players", str(n), "--leaders", str(nl), "--alliance", str(na),
+            "--r", str(r), "--chi", str(chi),
+            "--l", str(l_min + frac * (l_max - l_min))]
+
+
+# sha256 of `zdlab synth` stdout (stderr for exit 3), recorded before the
+# unison table moved to arrays: (dims, chi, frac, extra options, exit code)
+SYNTH_GOLDENS = [
+    ((4, 3, 3, 11.0), 0.0, 0.1, [], 0,
+     "ce3f57f60420a7295ceda50db09d8ed6e7fecfff4cc0ee7a11423e1286c6e1d0"),
+    ((4, 3, 3, 11.0), 0.0, 0.5, [], 0,
+     "b1a3ae0fbeb95cea2ed6025defd8e980d900cd4159f8dc93c26cb0dbe653a6a1"),
+    ((4, 3, 3, 11.0), 0.0, 0.9, [], 0,
+     "9403aeb1ab8c7c47c33b848f803dc42a04964bd3adb303e134cc073d00472e89"),
+    ((4, 3, 3, 11.0), 0.3, 0.1, [], 0,
+     "d1c46ab986aabe16e0c74546b5baeb26968296b58cbf1d1d87c1299bc8c46a36"),
+    ((4, 3, 3, 11.0), 0.3, 0.5, [], 0,
+     "d7e6df43b620113a58fa7ce65a275ed437df48b04d1b05d83b598d1cdc5453cd"),
+    ((4, 3, 3, 11.0), 0.3, 0.9, [], 0,
+     "2b7e52da1ef6098eabe0a6e14d40947b63e64ff29f28afb81ad078bfd0502077"),
+    ((4, 3, 3, 11.0), 0.6, 0.1, [], 0,
+     "bb2d84915402536d23435335c9032c1ad7e50a2b007057d49463c2a76c402b93"),
+    ((4, 3, 3, 11.0), 0.6, 0.5, [], 0,
+     "e3a19ea46b2e58ec5be1b8b8d938ea8c754f79e66b15679c2cd16b4feb3b7a90"),
+    ((4, 3, 3, 11.0), 0.6, 0.9, [], 0,
+     "b91a5ee0a107fb50f577935039745947699d08c81f60f35d828ae25dad0f2bbf"),
+    ((5, 4, 4, 13.0), 0.0, 0.1, [], 0,
+     "d62c79605334577b9054acfe81cf75666120aca1714e6dc8c3438d60e37042de"),
+    ((5, 4, 4, 13.0), 0.0, 0.5, [], 0,
+     "d0ccc829ee6e9ffab6af219e1726b3ba2fcb947c5ba99298ca4878b746884d8d"),
+    ((5, 4, 4, 13.0), 0.0, 0.9, [], 0,
+     "843cc622787de0a6e58be5d186a8e682543c851dcd60caa75582c675e821252d"),
+    ((5, 4, 4, 13.0), 0.3, 0.1, [], 0,
+     "ecb6edfe59de59a7a03d124b637965421df394684f94442039bf21c87ce3ab4f"),
+    ((5, 4, 4, 13.0), 0.3, 0.5, [], 0,
+     "f805296103e625ca722e272cb48e57379453e9d5f335f076d9a3f21f6f5b17de"),
+    ((5, 4, 4, 13.0), 0.3, 0.9, [], 0,
+     "b2188c41c77aa00757b6c5cba91a162271355a2f3e41c0d23ee0fbb129db49d2"),
+    ((5, 4, 4, 13.0), 0.6, 0.1, [], 0,
+     "6e214afdc1260e5a020df0d01f3ffe441eb733d8b45fe67b9a0384d52808ab3e"),
+    ((5, 4, 4, 13.0), 0.6, 0.5, [], 0,
+     "f39d63bbe3732521e44fcb199c054e34993bcc5fbf082e84ea50034ba0377bda"),
+    ((5, 4, 4, 13.0), 0.6, 0.9, [], 0,
+     "cc42c6f53fd97f2e850c2cac07bd1d86a96d4d61bbd17c37e80ba52ca6a0d3d3"),
+    ((10, 9, 9, 23.0), 0.3, 0.5, [], 0,
+     "17a5d5e6af8631077511021ddab9f83802ff43d9abf597859fa5200472e8718c"),
+    ((10, 7, 6, 23.0), 0.0, 0.5, [], 0,
+     "6d09d4f68b6262d0415a796474abace204dcd7b33998f77ad73c5d712ea216f2"),
+    # phi inside and outside the interval (0, 0.238...)
+    ((5, 4, 4, 13.0), 0.3, 0.5, ["--phi", "0.2"], 0,
+     "a86f32bb74b1d9e00225e8249b4bda1d1896d08c0f86aa4a2a919c15007a7184"),
+    ((5, 4, 4, 13.0), 0.3, 0.5, ["--phi", "0.3"], 3,
+     "e8630b11c48fa89c9d6a89a791e5e2b5cadb85a29d3e2ea0cbc10a0ca236a8cf"),
+]
 
 
 # every [s, x, y] index of a leader in a (4 players, 3 leaders) game
@@ -130,6 +198,18 @@ class TestSweep:
         text = "\n".join(strip_wall(cfg.output)) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "8138d95d7b8a0e995148e0de3ebdb6e1d39b42fcfa67caa418544ff3a241071c")
+
+    def test_ratio_mode_selects_nothing(self, tmp_path):
+        # both ratio columns are always written, whatever the mode
+        outputs = []
+        for mode in ("expected", "monte_carlo"):
+            out = str(tmp_path / f"{mode}.csv")
+            cfg = load_config(base_config(
+                tmp_path, output=out, ratio={"mode": mode, "rounds": 50}))
+            assert not hasattr(cfg, "ratio_mode")
+            run_sweep(cfg)
+            outputs.append(strip_wall(out))
+        assert outputs[0] == outputs[1]
 
     def test_k_must_fit_graph(self, tmp_path):
         cfg = load_config(base_config(tmp_path,
@@ -236,6 +316,39 @@ class TestMain:
         assert main(["synth", *argv]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("dims, chi, frac, extra, code, digest",
+                             SYNTH_GOLDENS)
+    def test_synth_output_golden_grid(self, capsys, dims, chi, frac, extra,
+                                      code, digest):
+        assert main(["synth", *synth_argv(dims, chi, frac), *extra]) == code
+        captured = capsys.readouterr()
+        text = captured.out if code == 0 else captured.err
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_synth_at_range_end(self, capsys):
+        # l_max of this game: its boundary f entry rounds to about -2e-15
+        assert main(["synth", "--players", "6", "--alliance", "4",
+                     "--r", "15", "--chi", "0.3",
+                     "--l", "11.42857142857143"]) == 0
+        assert json.loads(capsys.readouterr().out)["residual"] <= 1e-8
+
+    def test_closed_pipe_exit_code(self, tmp_path):
+        # the reader closes stdout after one line of a 3,000-line report
+        gpath = tmp_path / "ring.txt"
+        Graph(3000, [(u, (u + 1) % 3000) for u in range(3000)]).write(
+            str(gpath))
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(zdlab.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "zdlab.cli", "field", "--graph",
+             str(gpath), "--zd", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline().startswith(b"1 zd_neighbors=1")
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
 
     def test_exit_codes(self, tmp_path, capsys):
         # infeasible baseline -> 3

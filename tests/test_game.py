@@ -1,17 +1,35 @@
 import math
 
+import numpy as np
 import pytest
 
 from zdlab.game import (GameShape, PayoffScale, alliance_unison_payoff,
-                        is_social_dilemma, outsider_unison_payoff,
-                        payoff_vectors, state_bits, utility)
+                        is_social_dilemma, lumped_payoff_vectors,
+                        outsider_unison_payoff, payoff_vectors, state_bits,
+                        unison_payoffs, utility)
 
 R = 9.0
 FIG_SHAPE = GameShape(3, 2, 2, R)
 
+# every split of N = 2..8 players at two payoff factors
+SPLIT_SHAPES = [GameShape(n, nl, na, r) for n in range(2, 9)
+                for r in (2.0 * n + 3.0, n + 0.5) for nl in range(1, n + 1)
+                for na in range(1, min(nl, n - 1) + 1)]
+
 
 def state_of(actions):
     return sum(a << i for i, a in enumerate(actions))
+
+
+def reference_unison(s, b, shape):
+    """Scalar closed forms of the (alliance, outsider) average payoffs of
+    unison outcome (s, b), in the operation order of
+    :func:`zdlab.game.unison_payoffs`."""
+    n, na = shape.n_players, shape.n_alliance
+    base = shape.r * b / n
+    if s == 1:
+        return base, ((b - na) * base + (n - b) * (base + 1.0)) / (n - na)
+    return base + 1.0, (b * base + (n - na - b) * (base + 1.0)) / (n - na)
 
 
 class TestUtility:
@@ -148,3 +166,48 @@ class TestPayoffVectors:
     def test_split_state_rejected_by_closed_form(self):
         with pytest.raises(ValueError):
             alliance_unison_payoff(1, 1, FIG_SHAPE)
+        with pytest.raises(ValueError):
+            outsider_unison_payoff(0, 2, FIG_SHAPE)
+        with pytest.raises(ValueError):
+            outsider_unison_payoff(2, 2, FIG_SHAPE)
+
+
+class TestUnisonPayoffs:
+    def test_table_equals_closed_forms(self):
+        for shape in SPLIT_SHAPES:
+            n, na = shape.n_players, shape.n_alliance
+            table = unison_payoffs(shape)
+            assert unison_payoffs(shape) is table
+            for array in (table.alliance, table.outsiders):
+                assert array.shape == (2, n + 1)
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0, 0] = 0.0
+            for s in (0, 1):
+                for b in range(n + 1):
+                    if (s == 1 and b < na) or (s == 0 and b > n - na):
+                        assert np.isnan(table.alliance[s, b])
+                        assert np.isnan(table.outsiders[s, b])
+                        continue
+                    ga, go = reference_unison(s, b, shape)
+                    assert table.alliance[s, b] == ga
+                    assert table.outsiders[s, b] == go
+                    assert alliance_unison_payoff(s, b, shape) == ga
+                    assert outsider_unison_payoff(s, b, shape) == go
+
+    def test_lumped_vectors_equal_closed_forms(self):
+        # lumped state: bit 0 is the alliance's action, the other bits are
+        # the outsiders
+        for shape in SPLIT_SHAPES:
+            na = shape.n_alliance
+            lumped = lumped_payoff_vectors(shape)
+            bits = state_bits(shape.n_players - na + 1)
+            assert lumped.alliance.shape == lumped.outsiders.shape == (
+                len(bits),)
+            assert not lumped.alliance.flags.writeable
+            assert not lumped.outsiders.flags.writeable
+            for state, acts in enumerate(bits.tolist()):
+                s = acts[0]
+                ga, go = reference_unison(s, na * s + sum(acts[1:]), shape)
+                assert lumped.alliance[state] == ga
+                assert lumped.outsiders[state] == go
