@@ -120,6 +120,9 @@ def synthesize(params: ZDParams) -> SynthesisResult:
 
     The strategy table covers every leader index; indices reachable only
     when the alliance is split default to 0 (unreachable under coupling).
+    A baseline up to 1e-9 beyond an end of ``feasible_l_range`` is
+    synthesized at that end; the certificate still measures the relation
+    at the baseline asked for.
     """
     shape = params.shape
     chi, l = params.chi, params.l
@@ -128,6 +131,7 @@ def synthesize(params: ZDParams) -> SynthesisResult:
         raise InfeasibleError(
             f"baseline {l} outside enforceable range [{l_min}, {l_max}]"
         )
+    l = min(max(l, l_min), l_max)
 
     unison = unison_payoffs(shape)
     f = chi * (unison.alliance - l) - (unison.outsiders - l)

@@ -19,13 +19,11 @@ from .game import GameShape, PayoffVectors, state_bits
 MAX_PLAYERS = 10
 MAX_DETERMINANT_PLAYERS = 8
 
+# Largest chain solved directly before any power sweep: above it one
+# dense solve costs more than power iteration (timings in README.md).
+_DIRECT_STATES = 64
 # Power-iteration sweeps attempted before the dense linear-solve fallback.
 _POWER_BUDGET = 256
-# Power-iteration sweeps run between two convergence checks: _BLOCK, or
-# fewer on a chain of more than _BLOCK_ENTRIES / _BLOCK entries, where the
-# sweeps run past convergence would cost more than the checks saved.
-_BLOCK = 16
-_BLOCK_ENTRIES = 1 << 18
 # Shortest run of columns a leader's coins are multiplied over in one go.
 _RUN = 64
 # Stationary residual target and the total sweep limit.
@@ -110,8 +108,9 @@ class TransitionMatrix:
 @dataclass(frozen=True)
 class StationaryVector:
     """Stationary distribution and how it was reached: ``path`` is
-    ``"power"`` or ``"dense"`` (the linear-solve fallback), ``iterations``
-    the number of power sweeps made."""
+    ``"power"`` or ``"dense"`` (a direct linear solve), ``iterations`` the
+    number of power sweeps made before it; ``"dense"`` with 0 iterations is
+    a small chain solved on the first try."""
 
     vector: np.ndarray
     residual: float
@@ -323,49 +322,35 @@ def _ties(splits, cond):
 def stationary(tm: TransitionMatrix) -> StationaryVector:
     """Stationary distribution with residual ``max|vM - v| <= _TOL``.
 
-    Power iteration, with one dense linear-solve attempt after
-    ``_POWER_BUDGET`` sweeps for slow-mixing chains; if that solve misses
-    the target, power iteration goes on from it. Deterministic given
-    identical inputs.
-
-    Sweeps run in blocks (of ``_BLOCK`` up to 128 states, then fewer) and
-    are checked per block, with the result of checking each sweep in turn:
-    the first sweep whose step ``max|vM - v|`` and residual both reach
-    ``_TOL`` is returned. The residual of a sweep is the next one's step.
+    A chain of up to ``_DIRECT_STATES`` states is first solved directly
+    (``_dense_stationary``); a solve that meets the target is returned as
+    path ``"dense"`` with 0 iterations. Otherwise power iteration runs from
+    the uniform vector, checked every sweep: the first sweep whose step
+    ``max|vM - v|`` and residual both reach ``_TOL`` is returned, with its
+    number as ``iterations``. After ``_POWER_BUDGET`` sweeps, slow-mixing
+    chains get one more dense attempt; if it misses the target, power
+    iteration goes on from its vector. Deterministic given identical
+    inputs.
     """
     m = tm.matrix
     size = m.shape[0]
-    block = min(_BLOCK, max(1, _BLOCK_ENTRIES // m.size))
-    # rows: the vector before the block, then one row per sweep
-    vs = np.empty((block + 1, size))
-    vs[0] = 1.0 / size
-    rows = list(vs)
-    sweep = 0
-    while sweep < _MAX_ITERS:
-        if sweep == _POWER_BUDGET:
+    v = np.full(size, 1.0 / size)
+    for sweep in range(_MAX_ITERS):
+        if sweep == _POWER_BUDGET or sweep == 0 and size <= _DIRECT_STATES:
             sol = _dense_stationary(m)
             if sol is not None:
                 resid = float(np.abs(sol @ m - sol).max())
                 if resid <= _TOL:
                     return StationaryVector(sol, resid, "dense", sweep)
-                vs[0] = sol
-        end = _POWER_BUDGET if sweep < _POWER_BUDGET else _MAX_ITERS
-        count = min(block, end - sweep, _MAX_ITERS - sweep)
-        for k in range(count):
-            np.matmul(rows[k], m, out=rows[k + 1])
-        steps = np.abs(vs[1:count + 1] - vs[:count]).max(axis=1)
-        for k in np.flatnonzero(steps <= _TOL):
-            nxt = rows[k + 1]
-            if k + 1 < count:
-                resid = float(steps[k + 1])
-            else:
-                resid = float(np.abs(nxt @ m - nxt).max())
+                if sweep == _POWER_BUDGET:  # not after the first-try solve
+                    v = sol
+        nxt = v @ m
+        if np.abs(nxt - v).max() <= _TOL:
+            resid = float(np.abs(nxt @ m - nxt).max())
             if resid <= _TOL:
                 return StationaryVector(nxt / nxt.sum(), resid, "power",
-                                        sweep + int(k) + 1)
-        vs[0] = vs[count]
-        sweep += count
-    v = vs[0]
+                                        sweep + 1)
+        v = nxt
     resid = float(np.abs(v @ m - v).max())
     raise ConvergenceError(
         f"stationary solve did not converge (residual {resid:.3e})", resid
@@ -373,18 +358,19 @@ def stationary(tm: TransitionMatrix) -> StationaryVector:
 
 
 def _dense_stationary(m):
-    size = m.shape[0]
-    a = np.vstack([m.T - np.eye(size), np.ones((1, size))])
-    b = np.zeros(size + 1)
-    b[-1] = 1.0
-    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-    if sol.min() < -1e-9:
+    """Solution of (M^T - I + 11^T) v = 1, which is the stationary vector
+    of a chain with one closed class; None if the system is singular or the
+    solution is not finite and nonnegative within 1e-12."""
+    a = m.T + 1.0
+    a.flat[::len(m) + 1] -= 1.0
+    try:
+        sol = np.linalg.solve(a, np.ones(len(m)))
+    except np.linalg.LinAlgError:
         return None
-    sol = np.clip(sol, 0.0, None)
-    total = sol.sum()
-    if total <= 0:
+    if not sol.min() >= -1e-12:  # also true on NaN
         return None
-    return sol / total
+    total = np.maximum(sol, 0.0, out=sol).sum()
+    return sol / total if 0.0 < total < np.inf else None
 
 
 @functools.lru_cache(maxsize=None)

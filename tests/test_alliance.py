@@ -148,6 +148,25 @@ class TestFeasibleRange:
                     with pytest.raises(InfeasibleError):
                         synthesize(ZDParams(chi, l, shape))
 
+    def test_baseline_just_beyond_an_end(self):
+        # within 1e-9 of an end the baseline is synthesized at that end;
+        # further out it is outside the range, with one message either way
+        shape, chi = GameShape(6, 4, 4, 15.0), 0.3
+        l_min, l_max = feasible_l_range(chi, shape)
+        for end, beyond in ((l_max, 5e-10), (l_min, -5e-10),
+                            (l_max, 1e-15)):
+            result = synthesize(ZDParams(chi, end + beyond, shape))
+            at_end = synthesize(ZDParams(chi, end, shape))
+            assert (result.strategy.table.tobytes()
+                    == at_end.strategy.table.tobytes())
+            assert result.certificate <= (1 - chi) * abs(beyond) + 1e-13
+        # the CI's l_max, as printed
+        assert synthesize(ZDParams(chi, 11.42857142857143, shape))
+        for l in (l_max + 2e-9, l_min - 2e-9):
+            with pytest.raises(InfeasibleError,
+                               match="outside enforceable range"):
+                synthesize(ZDParams(chi, l, shape))
+
     def test_inadmissible_shape_rejected(self):
         with pytest.raises(InfeasibleError):
             feasible_l_range(0.0, GameShape(3, 2, 2, 2.0))
@@ -242,6 +261,32 @@ class TestEnforcement:
                     residual = verify_enforcement(
                         result, random_outsiders(shape, rng))
                     assert residual <= 1e-8
+
+    def test_small_lumped_chains_solved_to_rounding(self):
+        # lumped verifies on chains of up to 64 states take the direct
+        # solve: every residual stays at rounding level, where power
+        # iteration left up to about 1e-10 on slow-mixing chains. N stops
+        # at 9: at N = 10 the l_max strategies whose certificate falls back
+        # to the 2^10 chain would take 3 s.
+        checked = 0
+        for shape in dict.fromkeys(
+                s for s in GRID_SHAPES if s.r == 2 * s.n_players + 3
+                and s.n_players - s.n_alliance <= 5 and s.n_players <= 9):
+            for chi in (0.0, 0.3, 0.6, 0.9):
+                l_min, l_max = feasible_l_range(chi, shape)
+                for l in (l_min, (l_min + l_max) / 2, l_max):
+                    result = synthesize(ZDParams(chi, l, shape))
+                    if not splits_transient(shape, result.strategy.table):
+                        continue
+                    assert result.certificate <= 1e-12
+                    rng = np.random.default_rng([shape.n_players,
+                                                 shape.n_leaders,
+                                                 shape.n_alliance, checked])
+                    for _ in range(3):
+                        assert verify_enforcement(
+                            result, random_outsiders(shape, rng)) <= 1e-12
+                    checked += 1
+        assert checked > 600
 
     def test_wrong_target_detected(self):
         result = synthesize(ZDParams(0.0, 4.0, FIG_SHAPE))

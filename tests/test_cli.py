@@ -110,6 +110,51 @@ SYNTH_GOLDENS = [
      "e8630b11c48fa89c9d6a89a791e5e2b5cadb85a29d3e2ea0cbc10a0ca236a8cf"),
 ]
 
+# `zdlab synth` digests (of SYNTH_GOLDENS and of the README examples in
+# test_synth_output_golden) that changed when chains of up to
+# markov._DIRECT_STATES states began to be solved directly: the
+# certificate (`residual`) moved in its last digits. The tests keep the
+# digests recorded before, which name them, and check the output against
+# the re-pinned value.
+SYNTH_REPINS = {
+    "c46493a270427261bc4a276bbafd11ff2dfb30456f1f8ddb884cb78473163a0d":
+        "48b80f409882b2c4257d07a7d1a39bb6eb308f05c18eb3bfd02330b842261ab1",
+    "c0f72aa81c782e5572f5c695c6da44f444aab4f6a565277d92a3104c5f64b614":
+        "b3019d9d91a859d51af9e15250b172e9dba5b8164799f64ba17b9a1c1f89d9ea",
+    "ce3f57f60420a7295ceda50db09d8ed6e7fecfff4cc0ee7a11423e1286c6e1d0":
+        "04c296ab0b6ea3c61565a88b2b7b61c0a77f161369ab6af911666e3d86336410",
+    "9403aeb1ab8c7c47c33b848f803dc42a04964bd3adb303e134cc073d00472e89":
+        "e87949cbeff61f94404d0a534dfec694096d910cfe03767fb081a84335c5d333",
+    "d1c46ab986aabe16e0c74546b5baeb26968296b58cbf1d1d87c1299bc8c46a36":
+        "6f97e1d78783ccb14c9f4560319dddcf8a73c2e7b5e08f07fd62df69b62599bb",
+    "2b7e52da1ef6098eabe0a6e14d40947b63e64ff29f28afb81ad078bfd0502077":
+        "2fdc090893a932a8537216fef15849406f35405380a47e541ba4d185956b26b0",
+    "bb2d84915402536d23435335c9032c1ad7e50a2b007057d49463c2a76c402b93":
+        "d04ab31d224246fb6c6033716ae0ef8e546c55c4d4b82b454ae3d9f881e6c08f",
+    "e3a19ea46b2e58ec5be1b8b8d938ea8c754f79e66b15679c2cd16b4feb3b7a90":
+        "52ae79c7de031c93347dc20f7a87bc4909df93670743ef7c9b21521f73215afd",
+    "b91a5ee0a107fb50f577935039745947699d08c81f60f35d828ae25dad0f2bbf":
+        "c7fe7f2900157075b7cabc0f82e7b8dd6e2607ccfbf76c7a33ceb582f7a6acfb",
+    "d62c79605334577b9054acfe81cf75666120aca1714e6dc8c3438d60e37042de":
+        "977cbb549ac80bef8e18e14be92aa3e6278e46e54fff50b5f5fbfdc1c5fd8445",
+    "d0ccc829ee6e9ffab6af219e1726b3ba2fcb947c5ba99298ca4878b746884d8d":
+        "ae399f68fc9c8173a6e1a1930d79080d6c04f017cd5c7e8bfd285a8c1f81cfc6",
+    "843cc622787de0a6e58be5d186a8e682543c851dcd60caa75582c675e821252d":
+        "71f8ac2befae52d4960ac8b54d567a42c4cf79cc42f5b5c6d99e81a0e78de4a3",
+    "ecb6edfe59de59a7a03d124b637965421df394684f94442039bf21c87ce3ab4f":
+        "c7010d21673b1fa957a842f8dfb7c06c7f414b13baaba9b741fe7ea954e140c8",
+    "b2188c41c77aa00757b6c5cba91a162271355a2f3e41c0d23ee0fbb129db49d2":
+        "34ec3dffd36f5d4ee6782f9cc2dd8aa28da683f1bc2e4a8d2078a94e91dbbd2b",
+    "6e214afdc1260e5a020df0d01f3ffe441eb733d8b45fe67b9a0384d52808ab3e":
+        "94e6d6fda98d5bebe26b60c38cb04e6af5d0fae0a373941f7e68b5ccecb2bc5a",
+    "cc42c6f53fd97f2e850c2cac07bd1d86a96d4d61bbd17c37e80ba52ca6a0d3d3":
+        "21290c6ac68b2da996a01ebc488cfd426f49a74b3c86e08941f31b4113a6cb4e",
+    "17a5d5e6af8631077511021ddab9f83802ff43d9abf597859fa5200472e8718c":
+        "d66d8183d00025f3bb1d57e7a7111e73f7af951af5f75018f5706d611ec960e8",
+    "6d09d4f68b6262d0415a796474abace204dcd7b33998f77ad73c5d712ea216f2":
+        "7236fcd8dc658a0be26c54cf0047cd4a2e5106204d7eaafa3ea7d1fda4bbbfa3",
+}
+
 
 # every [s, x, y] index of a leader in a (4 players, 3 leaders) game
 FULL_TABLE = {f"[{s}, {x}, {y}]": 0.5
@@ -315,7 +360,8 @@ class TestMain:
         # solved on the alliance-lumped chain
         assert main(["synth", *argv]) == 0
         out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert hashlib.sha256(out.encode()).hexdigest() == SYNTH_REPINS.get(
+            digest, digest)
 
     @pytest.mark.parametrize("dims, chi, frac, extra, code, digest",
                              SYNTH_GOLDENS)
@@ -324,7 +370,8 @@ class TestMain:
         assert main(["synth", *synth_argv(dims, chi, frac), *extra]) == code
         captured = capsys.readouterr()
         text = captured.out if code == 0 else captured.err
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert hashlib.sha256(text.encode()).hexdigest() == SYNTH_REPINS.get(
+            digest, digest)
 
     def test_synth_at_range_end(self, capsys):
         # l_max of this game: its boundary f entry rounds to about -2e-15
