@@ -59,7 +59,8 @@ def alliance_admissible(shape: GameShape) -> bool:
 
 
 def feasible_l_range(chi: float, shape: GameShape):
-    """Enforceable baseline-payoff interval (l_min, l_max)."""
+    """Enforceable baseline-payoff interval (l_min, l_max). Raises
+    ValueError when the payoffs or the interval overflow float64."""
     if not 0.0 <= chi < 1.0:
         raise ValueError("slope chi must lie in [0, 1)")
     if not alliance_admissible(shape):
@@ -72,6 +73,10 @@ def feasible_l_range(chi: float, shape: GameShape):
     denom = n * (n - na) * (1 - chi)
     l_min = max(theta * b / denom + 1.0 for b in range(0, n - na + 1))
     l_max = min((theta * b + n * n) / denom for b in range(na, n + 1))
+    # the payoffs multiply r by up to n cooperators
+    if not all(map(math.isfinite, (r * n, l_min, l_max))):
+        raise ValueError(f"payoff factor r={r} overflows float64 in a "
+                         f"{n}-player game")
     if l_min > l_max:
         raise InfeasibleError(
             f"empty baseline range [{l_min}, {l_max}] at chi={chi}"

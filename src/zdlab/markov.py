@@ -171,31 +171,22 @@ def _read_only(array):
     return array
 
 
-@functools.lru_cache(maxsize=None)
-def _split_coins(shape: GameShape):
-    """Flat indices into an alliance table of the two coins of every split
-    state of the coupled chain (see ``splits_transient``)."""
-    na = shape.n_alliance
-    k = np.arange(1, na)[:, None, None]
-    u = np.arange(shape.n_leaders - na + 1)[None, :, None]
-    y = np.arange(shape.n_followers + 1)[None, None, :]
-    dims = leader_table_shape(shape)
-    return (_read_only(np.ravel_multi_index((1, k - 1 + u, y), dims)),
-            _read_only(np.ravel_multi_index((0, k + u, y), dims)))
-
-
 def splits_transient(shape: GameShape, table) -> bool:
     """Whether every split alliance state of the coupled chain reunites in
     one step with positive probability, for alliance table ``table``.
 
-    With k members cooperating, u outsider leaders cooperating and y
-    followers cooperating, the cooperating members draw one coin with
-    ``table[1, k-1+u, y]`` and the defecting ones one with
+    With k members cooperating (0 < k < n_alliance), u outsider leaders
+    cooperating and y followers cooperating, the cooperating members draw
+    one coin with ``table[1, k-1+u, y]`` and the defecting ones one with
     ``table[0, k+u, y]``; they can only stay split if one coin is 0 and
-    the other 1.
+    the other 1. As k - 1 + u runs over 0..n_leaders-2, the coin pairs are
+    ``table[1, x, y]`` against ``table[0, x+1, y]`` for every such x and
+    every y: the slices ``table[1, :-1]`` and ``table[0, 1:]``. An
+    alliance of one has no split states.
     """
-    coop, defect = _split_coins(shape)
-    p_c, p_d = table.take(coop), table.take(defect)
+    if shape.n_alliance < 2:
+        return True
+    p_c, p_d = table[1, :-1], table[0, 1:]
     return not ((p_c == 0.0) & (p_d == 1.0) | (p_c == 1.0) & (p_d == 0.0)).any()
 
 

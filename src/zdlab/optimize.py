@@ -4,6 +4,7 @@ incentive-field objective, by genetic algorithm or exhaustive search."""
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -118,40 +119,15 @@ def optimize_ga(g: Graph, k: int, scale: PayoffScale,
     return dep, float(scores[best]), history
 
 
-@functools.lru_cache(maxsize=8)
-def _binomials(n: int, k: int) -> np.ndarray:
-    """Read-only (k, n) int64 table whose row j - 1 holds C(b, j) for
-    b in range(n), each capped at C(n, k): rows stay nondecreasing, a
-    capped entry exceeds every sum :func:`lex_combinations` searches for,
-    and no entry overflows int64 (C(79, 39) alone is about 5e22)."""
-    total = math.comb(n, k)
-    table = np.array([[min(math.comb(b, j), total) for b in range(n)]
-                      for j in range(1, k + 1)], dtype=np.int64)
-    table.flags.writeable = False
-    return table
-
-
 def lex_combinations(n: int, k: int, rows: int):
     """The k-subsets of range(n) in lexicographic order, as (rows, k)
-    arrays of ascending elements (the last block may be shorter).
-
-    Each block is unranked with the combinatorial number system (Knuth,
-    TAOCP 4A, 7.2.1.3): the subset a_0 < .. < a_{k-1} at rank r maps to
-    b_i = n-1-a_i with sum_i C(b_i, k-i) = C(n, k)-1-r, so each b_i is the
-    largest b with C(b, k-i) at most what is left of that sum.
-    """
+    arrays of ascending elements (the last block may be shorter)."""
+    subsets = itertools.combinations(range(n), k)
     total = math.comb(n, k)
-    table = _binomials(n, k)
-    steps = np.arange(rows, dtype=np.int64)
     for start in range(0, total, rows):
-        left = (total - 1 - start) - steps[:total - start]
-        block = np.empty((len(left), k), dtype=np.intp)
-        for i in range(k):
-            row = table[k - i - 1]
-            b = np.searchsorted(row, left, side="right") - 1
-            left -= row[b]
-            block[:, i] = n - 1 - b
-        yield block
+        m = min(rows, total - start)
+        flat = itertools.chain.from_iterable(itertools.islice(subsets, m))
+        yield np.fromiter(flat, dtype=np.intp, count=m * k).reshape(m, k)
 
 
 def _record_slack(n: int) -> float:
@@ -201,15 +177,13 @@ def _plan_blocks(n: int, k: int, rows: int):
     ``(masks, valid)``. Column p of ``masks`` holds prefix p, and
     ``valid[v, p]`` says that v may extend it (v > max of the prefix)."""
     nodes = np.arange(n)
-    # later[v, j]: v may extend a prefix whose last node is j - 1
-    later = nodes[:, None] >= nodes
     for block in lex_combinations(n - 1, k - 1, rows):
         # one column per prefix, so the search's reductions over axis 0 run
         # vectorized across prefixes
         masks = np.zeros((n, len(block)), dtype=bool)
         masks[block.T, np.arange(len(block))] = True
-        start = block[:, -1] + 1 if k > 1 else np.zeros(len(block), dtype=np.intp)
-        valid = later[:, start]
+        # each prefix's last node; K = 1 has one prefix, the empty one
+        valid = nodes[:, None] > (block[:, -1] if k > 1 else -1)
         masks.flags.writeable = valid.flags.writeable = False
         yield masks, valid
 

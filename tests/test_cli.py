@@ -6,12 +6,14 @@ import os
 import statistics
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import zdlab
 import zdlab.alliance
+import zdlab.cli
 import zdlab.graphs
 from zdlab.alliance import feasible_l_range
 from zdlab.cli import (CSV_VERSION, SWEEP_COLUMNS, load_config, main,
@@ -441,6 +443,54 @@ class TestMain:
         err = capsys.readouterr().err
         expected = detail or "allocation failed"
         assert err == f"error: not enough memory ({expected})\n"
+
+    # r·N, or the range's theta·b, past the largest float64; at chi
+    # 0.999999 the range is finite but the payoffs are not
+    @pytest.mark.parametrize("command", ["synth", "verify"])
+    @pytest.mark.parametrize("players,alliance,r,chi,l", [
+        (3, 2, "1e308", "0", "4e307"),
+        (10, 6, "4e307", "0", "1e307"),
+        (3, 2, "1e308", "0.999999", "5e307"),
+    ])
+    def test_payoff_overflow_exit_code(self, capsys, command, players,
+                                       alliance, r, chi, l):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([command, "--players", str(players), "--alliance",
+                       str(alliance), "--r", r, "--chi", chi, "--l", l])
+        assert rc == 2 and not caught
+        err = capsys.readouterr().err
+        assert err == (f"error: payoff factor r={float(r)} overflows float64 "
+                       f"in a {players}-player game\n")
+
+    # the largest payoffs stay just inside float64
+    @pytest.mark.parametrize("command", ["synth", "verify"])
+    @pytest.mark.parametrize("players,alliance,r,l", [
+        (3, 2, "5e307", "2.5e307"),
+        (10, 9, "1e307", "5e306"),
+    ])
+    def test_payoffs_near_overflow_synthesize(self, capsys, command, players,
+                                              alliance, r, l):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([command, "--players", str(players), "--alliance",
+                       str(alliance), "--r", r, "--chi", "0", "--l", l])
+        assert rc == 0 and not caught
+        assert capsys.readouterr().err == ""
+
+    def test_sweep_checks_output_before_ga(self, tmp_path, monkeypatch,
+                                           capsys):
+        def no_ga(*args, **kwargs):
+            raise AssertionError("GA ran before the output was checked")
+
+        monkeypatch.setattr(zdlab.cli, "optimize_ga", no_ga)
+        out = tmp_path / "missing" / "sweep.csv"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(tmp_path, output=str(out))))
+        assert main(["sweep", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["synth", "verify"])
     def test_player_cap_exit_code(self, capsys, command):

@@ -98,8 +98,9 @@ class TestExhaustive:
 
     @pytest.mark.parametrize("rows", [1, 7, 5000])
     def test_lex_combinations_match_itertools(self, rows):
+        # k = 0 is the empty prefix of every K = 1 search
         for n in range(1, 13):
-            for k in range(1, n + 1):
+            for k in range(n + 1):
                 blocks = list(lex_combinations(n, k, rows))
                 assert all(len(b) == rows for b in blocks[:-1])
                 got = np.concatenate(blocks)
