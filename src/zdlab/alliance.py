@@ -52,10 +52,13 @@ class SynthesisResult:
 def alliance_admissible(shape: GameShape) -> bool:
     """Alliance-size condition under which the payoff range is controllable.
 
-    For a single outsider this reduces to r > N.
+    For a single outsider this reduces to r > N. Tested exactly, with r =
+    p / q, as r (N - 2 n_alliance) < N < r (N - n_alliance): in float64,
+    (r - 1) / r rounds to 1 for r above 2**53.
     """
-    n, na, r = shape.n_players, shape.n_alliance, shape.r
-    return (r - 1) / (2 * r) * n < na and na < (r - 1) / r * n
+    n, na = shape.n_players, shape.n_alliance
+    p, q = float(shape.r).as_integer_ratio()
+    return p * (n - 2 * na) < n * q < p * (n - na)
 
 
 def feasible_l_range(chi: float, shape: GameShape):
@@ -92,8 +95,9 @@ def _zero_band(chi, l, unison):
     closed forms' rounding 6 u S and that of an end of ``feasible_l_range``
     (eight operations) 11 u S: at either end of the range the boundary
     outcome, whose real f is 0, stays within the band."""
-    return 2.0 ** -48 * (chi * unison.alliance + unison.outsiders
-                         + (1.0 + chi) * abs(l))
+    scale = 2.0 ** -48  # applied to each term, as S can exceed float64
+    return (chi * (scale * unison.alliance) + scale * unison.outsiders
+            + (1.0 + chi) * (scale * abs(l)))
 
 
 def _phi_interval(f, zero):

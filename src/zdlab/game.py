@@ -10,6 +10,7 @@ followers.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +65,8 @@ class GameShape:
             raise ValueError("alliance must be a nonempty subset of the leaders")
         if self.n_players - self.n_alliance < 1:
             raise ValueError("at least one outsider is required")
-        if self.r <= 0:
-            raise ValueError("payoff factor must be positive")
+        if not 0 < self.r < math.inf:  # NaN fails both comparisons
+            raise ValueError("payoff factor must be positive and finite")
 
     @property
     def n_followers(self):

@@ -24,8 +24,6 @@ MAX_DETERMINANT_PLAYERS = 8
 _DIRECT_STATES = 64
 # Power-iteration sweeps attempted before the dense linear-solve fallback.
 _POWER_BUDGET = 256
-# Shortest run of columns a leader's coins are multiplied over in one go.
-_RUN = 64
 # Stationary residual target and the total sweep limit.
 _TOL = 1e-12
 _MAX_ITERS = 1_000_000
@@ -198,7 +196,6 @@ class _ChainPlan:
     leader_coops: np.ndarray
     acted: tuple
     gathers: np.ndarray
-    runs: tuple
     splits: np.ndarray
 
 
@@ -212,9 +209,6 @@ def _chain_plan(weights: tuple, n_followers: int) -> _ChainPlan:
     - ``gathers[i, state]``, the index of mover i's entry ``[own,
       leader_coops - own, cooperating followers]`` (``own`` being its
       action) into the movers' tables laid end to end;
-    - ``runs[i]``, mover i's action in the first ``_RUN`` columns (all
-      of them in a smaller chain) if its bit repeats within them, else
-      None;
     - ``splits[i, j, pattern]``, whether movers i and j act differently
       in a pattern of the leader bits, which are the low bits of a state.
     """
@@ -229,13 +223,10 @@ def _chain_plan(weights: tuple, n_followers: int) -> _ChainPlan:
         for i, own in enumerate(bits[:, :nl].T)])
     acted = tuple(_read_only(bits[:, nl + j] == 1)
                   for j in range(n_followers))
-    width = min(len(bits), _RUN)
-    runs = tuple(_read_only(bits[:width, i].copy()) if 2 << i < width
-                 else None for i in range(nl))
     pattern = state_bits(nl).T
     splits = pattern[:, None, :] != pattern[None, :, :]
     return _ChainPlan(_read_only(leader_coops), acted, _read_only(gathers),
-                      runs, _read_only(splits))
+                      _read_only(splits))
 
 
 def _chain(weights, leaders, followers, n_tied):
@@ -243,7 +234,8 @@ def _chain(weights, leaders, followers, n_tied):
 
     Leader mover i stands for ``weights[i]`` players acting alike; movers
     0..n_tied-1 are alliance members, coupled as in
-    ``build_transition_matrix``.
+    ``build_transition_matrix``. An entry is the product of the movers'
+    coins for the column's leader bits, times the column's follower factor.
     """
     plan = _chain_plan(weights, len(followers))
     size = len(plan.leader_coops)
@@ -259,30 +251,20 @@ def _chain(weights, leaders, followers, n_tied):
     cond = np.concatenate([s.table.ravel() for s in leaders]).take(
         plan.gathers)
     coins = np.stack([1.0 - cond, cond], axis=-1)
-    split = None
     if n_tied > 1:
         tied, split = _ties(plan.splits, cond[:n_tied])
         coins[:n_tied][tied] = 1.0  # a copying member draws no coin
 
-    # Leader factors are multiplied one leader at a time into the follower
-    # factor broadcast over the rows.
-    matrix = np.empty((size, size))
-    for i, (coin, run) in enumerate(zip(coins, plan.runs)):
-        if run is None:
-            # columns split as (higher bits, bit i, lower bits)
-            act = matrix.reshape(size, -1, 2, 1 << i)
-            factor = coin[:, None, :, None]
-        else:
-            # columns split into runs of _RUN, over which bit i repeats
-            act = matrix.reshape(size, -1, len(run))
-            factor = coin.take(run, axis=1)[:, None, :]
-        np.multiply(fol.reshape(act.shape[1:]) if i == 0 else act, factor,
-                    out=act)
-    if split is not None:
-        # columns split as (follower bits, leader bits); zeroing last gives
-        # the same entries as zeroing first, as the coins lie in [0, 1]
-        np.copyto(matrix.reshape(size, -1, 1 << len(coins)), 0.0,
-                  where=split[:, None, :])
+    # lead[state, pattern], the movers' factor for a leader-bit pattern:
+    # each further mover's coin is an outer product on a new high bit
+    lead = coins[0]
+    for coin in coins[1:]:
+        lead = (coin[:, :, None] * lead[:, None, :]).reshape(size, -1)
+    if n_tied > 1:
+        lead[split] = 0.0
+    # columns split as (follower bits, leader bits)
+    matrix = (lead[:, None, :] * fol.reshape(-1, lead.shape[1])).reshape(
+        size, size)
 
     sums = matrix.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > 1e-9):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import inspect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -111,6 +112,23 @@ class TestAdmissibility:
             shape_hi = GameShape(n, n - 1, n - 1, n + 0.5)
             assert not alliance_admissible(shape_lo)
             assert alliance_admissible(shape_hi)
+
+    def test_matches_exact_reference_at_huge_and_boundary_r(self):
+        # float64 rounds (r - 1) / r to 1 above 2**53 and 2 r overflows
+        # above about 9e307; the boundaries N / (N - 2 n_alliance) and
+        # N / (N - n_alliance) are admissible on neither side
+        huge = (2.0 ** 53, 2.0 ** 54, 1e305, 1e307, 8.9e307,
+                1.7976931348623157e308)
+        for n in range(2, 11):
+            for na in range(1, n):
+                edges = [n / (n - 2 * na)] if n > 2 * na else []
+                for r in (*huge, *edges, n / (n - na)):
+                    exact = Fraction(r)
+                    expected = ((exact - 1) / (2 * exact) * n < na
+                                < (exact - 1) / exact * n)
+                    for nl in range(na, n + 1):
+                        shape = GameShape(n, nl, na, r)
+                        assert alliance_admissible(shape) == expected, shape
 
 
 class TestFeasibleRange:

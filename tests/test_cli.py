@@ -478,6 +478,17 @@ class TestMain:
         assert rc == 0 and not caught
         assert capsys.readouterr().err == ""
 
+    def test_zero_band_near_overflow(self, capsys):
+        # chi g_A + g_O + (1 + chi) |l| of this game exceeds float64, while
+        # each of its terms and the payoffs stay finite
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["synth", "--players", "3", "--alliance", "2", "--r",
+                       "5.966666666666667e+307", "--chi", "0.9", "--l",
+                       "3.977777777777778e+307"])
+        assert rc == 0 and not caught
+        assert capsys.readouterr().err == ""
+
     def test_sweep_checks_output_before_ga(self, tmp_path, monkeypatch,
                                            capsys):
         def no_ga(*args, **kwargs):

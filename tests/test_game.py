@@ -108,6 +108,11 @@ class TestGameShape:
         with pytest.raises(ValueError):
             GameShape(1, 1, 1, R)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 0.0])
+    def test_payoff_factor_positive_and_finite(self, r):
+        with pytest.raises(ValueError, match="positive and finite"):
+            GameShape(3, 2, 2, r)
+
 
 class TestPayoffVectors:
     def test_worked_example_symbolic(self):

@@ -130,6 +130,28 @@ class TestBuildMatrix:
                     for v in range(shape.n_states)]
         np.testing.assert_allclose(tm.matrix, expected, rtol=0, atol=1e-15)
 
+    # up to 10 leader movers; (8, 8, 7) and (10, 10, 9) have no followers
+    @pytest.mark.parametrize("coupling", [False, True])
+    @pytest.mark.parametrize("dims", [(8, 8, 7), (8, 6, 4), (10, 10, 9),
+                                      (10, 9, 5), (10, 7, 6)])
+    def test_many_movers_match_scalar_oracle(self, dims, coupling):
+        n, nl, na = dims
+        shape = GameShape(n, nl, na, 2.0 * n + 3.0)
+        rng = np.random.default_rng(list(dims))
+        values = (0.0, 0.25, 0.5, 0.7, 1.0)
+        table = rng.choice(values, leader_table_shape(shape))
+        leaders = [LeaderStrategy(i, table if i < na else
+                                  rng.choice(values, table.shape))
+                   for i in range(nl)]
+        followers = [FollowerStrategy(j, rng.choice(values, nl + 1))
+                     for j in range(nl, n)]
+        tm = build_transition_matrix(shape, leaders, followers, coupling)
+        rows = rng.choice(shape.n_states, 8, replace=False)
+        expected = [[_oracle_entry(shape, leaders, followers, coupling, v, w)
+                     for w in range(shape.n_states)] for v in rows]
+        np.testing.assert_allclose(tm.matrix[rows], expected, rtol=0,
+                                   atol=1e-15)
+
     def test_wrong_player_count(self):
         leaders = [LeaderStrategy.constant(0, FIG_SHAPE, 0.5)]
         with pytest.raises(ValueError):
@@ -530,26 +552,29 @@ class TestExpectedPayoffs:
 # iterations" (STATIONARY_GOLDEN). The alliance shares one table drawn
 # from {0.2, 0.5, 0.8}, so members also tie in split states; the
 # outsiders come from ``random_outsiders``. They pin the chain build and
-# the stationary solve bit for bit. The matrix digests predate the direct
-# solve of small chains; the stationary digests of the chains it solves
-# were re-pinned with it.
+# the stationary solve bit for bit. The stationary digests of the chains
+# solved directly were re-pinned with the direct solve of small chains.
+# The digests of chains whose entries multiply a follower factor with two
+# or more leader coins were re-pinned when rows became an outer product of
+# the leaders' coins times the follower factor, which associates those
+# products differently.
 MATRIX_GOLDEN = {
     (2, 1, 1): ("e5c35c5960632737", "e5c35c5960632737", "e5c35c5960632737"),
     (2, 2, 1): ("b166a4c52779f6d2", "b166a4c52779f6d2", "b166a4c52779f6d2"),
-    (3, 2, 2): ("dc27fc6a940109a6", "fe58e18d61c24994", "777d46852e8adbeb"),
+    (3, 2, 2): ("f2de01adc7396d47", "fe58e18d61c24994", "777d46852e8adbeb"),
     (3, 3, 2): ("19d1ae7025168615", "366145eaef151e1c", "368c9cea91cd31bf"),
-    (4, 3, 3): ("d4d8e3bbe5c526a7", "005119bedb1a5959", "bcd58b797a4d0c7e"),
+    (4, 3, 3): ("ce3cfb2fa355971c", "39d2a457d3f6efdc", "bcd58b797a4d0c7e"),
     (4, 4, 2): ("a6647f1b76e62b21", "65dbbf9c5423223e", "ed395b5fbe5da419"),
-    (5, 4, 4): ("f6ae52e61e96808d", "bc6d48026c33b483", "c4ab5da4494964b3"),
-    (5, 3, 2): ("9f0df22c8d380b2b", "9fec6bd36e3e2128", "3e18818002f2e665"),
-    (6, 5, 5): ("f81f461413e3d853", "182897966def9119", "9ab200b3fbe1d19f"),
-    (6, 4, 3): ("2fcf09c01bf1a532", "d5e42495c8d9c0da", "6b6b1b572f3c4857"),
-    (7, 6, 6): ("1a4290b16f0b8b84", "90221087e762da22", "92068f9f33062eaf"),
-    (7, 5, 3): ("f079a9764f030a8c", "95063d940d600acd", "66eb5021a1265c0d"),
-    (8, 7, 7): ("866dce7cc4ec8e88", "ce16cb4ab69ef290", "021b79c743934e39"),
-    (8, 6, 4): ("7f192292e8b2084a", "98897f7ae66aacfa", "e9c0dda73bf8ce70"),
-    (10, 9, 9): ("16fd95aee655ef1b", "5076fccb28df76b6", "9224e1c15aba1923"),
-    (10, 7, 6): ("3a2ef3dfc6ea9d55", "bebb3aa4a413da4a", "220e18a894327c9f"),
+    (5, 4, 4): ("0fbb45c7e7338986", "bc6d48026c33b483", "c4ab5da4494964b3"),
+    (5, 3, 2): ("0370c99527a2ff90", "226d0877c08aed06", "d74b16a846a4097e"),
+    (6, 5, 5): ("9e37627e08c3cb59", "ea39d5fbe0a3c4be", "9ab200b3fbe1d19f"),
+    (6, 4, 3): ("7e92f69c8b13caf0", "3e33449e6819a383", "39cc259ef8f28a8e"),
+    (7, 6, 6): ("3b1cd304cae4ebb4", "309e0e9a53f4b209", "92068f9f33062eaf"),
+    (7, 5, 3): ("066056e4ed580c45", "b1bf950bbe87de5b", "d7ccef27fa77d6b3"),
+    (8, 7, 7): ("76c1bf6064f7f4b5", "4316c65fe335d540", "021b79c743934e39"),
+    (8, 6, 4): ("f5a031c65e42354d", "0289bfa214b826d5", "bb25ace53ab0c4af"),
+    (10, 9, 9): ("f09fa468aae49315", "2d75de75295917d6", "9224e1c15aba1923"),
+    (10, 7, 6): ("eb41aa2f45b7bf7b", "fe6b3c95fe83957a", "759aed5af901d6b5"),
 }
 
 STATIONARY_GOLDEN = {
@@ -557,18 +582,18 @@ STATIONARY_GOLDEN = {
     (2, 2, 1): ("5cd6cf754f898c94", "5cd6cf754f898c94", "5cd6cf754f898c94"),
     (3, 2, 2): ("d3d5d01509b70d8e", "1ae53fde8694dd3c", "4f5953aa2194a97c"),
     (3, 3, 2): ("1de941ffac8a8b42", "b80ea508c4e6ead2", "769ce65533319cf5"),
-    (4, 3, 3): ("fb93d211b5cdf29c", "2cf3f661b979c944", "21c7ada8b43ebf4a"),
+    (4, 3, 3): ("087491691ccc73cf", "6b511131718dc2b6", "21c7ada8b43ebf4a"),
     (4, 4, 2): ("90022d7e2f4be107", "f664a26d2a50a863", "51f6b7df5f219191"),
-    (5, 4, 4): ("bca5df47d6bd78de", "487a7b18661ed59f", "bfe33d6598487b18"),
-    (5, 3, 2): ("d2a00ea848e2b519", "def5314b952392b3", "deb8455e707694f2"),
-    (6, 5, 5): ("b50a4dc73d6d4a28", "704e75321143b1f5", "39965cc18f968560"),
-    (6, 4, 3): ("b7bff03286dae8bc", "8f350d1bd1770c3f", "d7d9283c87ebeea7"),
-    (7, 6, 6): ("559a466c8f37bfe1", "6aff17767f6a5ed0", "f1d0d3da1ee65658"),
-    (7, 5, 3): ("e8a45bd7672d00d9", "86e67295d9c6a978", "564145d247f5e580"),
-    (8, 7, 7): ("fc4a965b7c61aed7", "a8c8e005f1c2c86b", "405feba2b9abd9ab"),
-    (8, 6, 4): ("66f1ffea22a0fd08", "501aa0843cb30b31", "25c3e544f30b2d98"),
-    (10, 9, 9): ("b6ccd7c2fa29ec48", "a0fa0d045c57c369", "6ed3856363d9784d"),
-    (10, 7, 6): ("17594771a9c194e6", "59bdb914f657cd37", "e8e089c02f702179"),
+    (5, 4, 4): ("e3ab772a4a863454", "487a7b18661ed59f", "bfe33d6598487b18"),
+    (5, 3, 2): ("18412d3042de09e3", "591c267be317bb48", "bbb81e9faba0114d"),
+    (6, 5, 5): ("c9975b455e062585", "704e75321143b1f5", "39965cc18f968560"),
+    (6, 4, 3): ("f5d187b11726077d", "da325dc7bab62069", "19f0afc629b87419"),
+    (7, 6, 6): ("1e2dd9d631b801d4", "cd2287d5b5f4c9d9", "f1d0d3da1ee65658"),
+    (7, 5, 3): ("4f3b27d1a746e185", "3ce2a622c20d9949", "1c67ebaca65838ae"),
+    (8, 7, 7): ("3300c2c1e0b3131c", "fe616cdfb9b5a489", "405feba2b9abd9ab"),
+    (8, 6, 4): ("79932e5bd37ac6fb", "cac1e56936e843fc", "08989eb2f88d6b58"),
+    (10, 9, 9): ("1a9abdfb1ac857f2", "4b9d7dcb8b2906ed", "6ed3856363d9784d"),
+    (10, 7, 6): ("b35665a15b49a6c3", "315618161558b2ea", "b4b5079fd194979a"),
 }
 
 
