@@ -8,8 +8,8 @@ from .field import (Deployment, FieldResult, cooperator_ratio, evaluate,
                     node_delta)
 from .game import (GameShape, PayoffScale, PayoffVectors, is_social_dilemma,
                    payoff_vectors, utility)
-from .graphs import (Graph, TraceRecord, betweenness, degree_stats, generate,
-                     ingest_trace, parse_trace)
+from .graphs import (Graph, TraceRecord, betweenness, generate, ingest_trace,
+                     parse_trace)
 from .markov import (FollowerStrategy, LeaderStrategy, StationaryVector,
                      TransitionMatrix, build_transition_matrix,
                      determinant_dot, expected_payoffs, stationary,
@@ -23,7 +23,7 @@ __all__ = [
     "Graph", "LeaderStrategy", "PayoffScale", "PayoffVectors",
     "StationaryVector", "SynthesisResult", "TraceRecord", "TransitionMatrix",
     "ZDParams", "alliance_admissible", "betweenness",
-    "build_transition_matrix", "cooperator_ratio", "degree_stats",
+    "build_transition_matrix", "cooperator_ratio",
     "determinant_dot", "dominance_check", "evaluate", "expected_payoffs",
     "feasible_l_range", "generate", "incentive_menu", "ingest_trace",
     "is_social_dilemma", "node_delta", "optimize_exhaustive", "optimize_ga",

@@ -170,12 +170,15 @@ def load_config(doc: dict) -> ExperimentConfig:
     repetitions = _typed(doc, "repetitions", _INT, "config", 30)
     if repetitions < 1:
         raise ConfigError("repetitions must be positive")
+    seed = _typed(doc, "seed", _INT, "config", 0)
+    if seed < 0:
+        raise ConfigError(f"config field 'seed' must be non-negative: {seed}")
 
     return ExperimentConfig(topology=topology, scale=scale, k_min=k_min,
                             k_max=k_max, k_step=k_step, ga=ga,
                             ratio_rounds=ratio_rounds,
                             repetitions=repetitions,
-                            seed=_typed(doc, "seed", _INT, "config", 0),
+                            seed=seed,
                             output=_typed(doc, "output", _STR, "config"))
 
 
@@ -364,14 +367,13 @@ def cmd_ingest(args):
 
 def cmd_metrics(args):
     g = graphs.Graph.read(args.graph)
-    stats = graphs.degree_stats(g)
     scores = graphs.betweenness(g)
     print(f"nodes {g.n} edges {g.edge_count}")
-    print(f"mean_degree {_fmt(stats.mean)}")
+    print(f"mean_degree {_fmt(int(g.degrees.sum()) / g.n)}")
     print(f"mean_betweenness {_fmt(sum(scores) / g.n)}")
     if args.per_node:
         for u in range(g.n):
-            print(f"{u} degree={stats.degrees[u]} "
+            print(f"{u} degree={g.degrees[u]} "
                   f"betweenness={_fmt(scores[u])}")
     return 0
 
@@ -395,6 +397,7 @@ def cmd_synth(args):
 
 
 def cmd_verify(args):
+    _check_seed("--outsider-seed", args.outsider_seed)
     shape = _shape_from_args(args)
     params = zd.ZDParams(args.chi, args.l, shape, args.phi)
     result = zd.synthesize(params)
@@ -425,6 +428,7 @@ def cmd_field(args):
 
 
 def cmd_opt(args):
+    _check_seed("--seed", args.seed)
     g = graphs.Graph.read(args.graph)
     scale = PayoffScale(args.scale_a, args.scale_k, args.scale_b)
     if args.exhaustive:
@@ -528,6 +532,12 @@ def _check_finite(args):
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"--{name.replace('_', '-')} must be a finite "
                               f"number, not {value}")
+
+
+def _check_seed(option, value):
+    """A numpy seed must be non-negative; say so by the option's name."""
+    if value < 0:
+        raise ConfigError(f"{option} must be non-negative, not {value}")
 
 
 def main(argv=None) -> int:

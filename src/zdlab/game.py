@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 COOPERATE = 1
-DEFECT = 0
 
 
 @dataclass(frozen=True)
@@ -110,33 +109,11 @@ def is_social_dilemma(r: float) -> bool:
     return r > 1
 
 
-def alliance_unison_payoff(unison_action: int, total_cooperators: int,
-                           shape: GameShape) -> float:
-    """Average alliance payoff when the alliance acts in unison."""
-    return _unison_entry(unison_payoffs(shape).alliance, unison_action,
-                         total_cooperators)
-
-
-def outsider_unison_payoff(unison_action: int, total_cooperators: int,
-                           shape: GameShape) -> float:
-    """Average outsider payoff when the alliance acts in unison."""
-    return _unison_entry(unison_payoffs(shape).outsiders, unison_action,
-                         total_cooperators)
-
-
-def _unison_entry(table, s, b):
-    """Entry [s, b] of a :func:`unison_payoffs` table, if it can occur."""
-    if s not in (COOPERATE, DEFECT):
-        raise ValueError("unison action must be 0 or 1")
-    if not 0 <= b < table.shape[1] or np.isnan(table[s, b]):
-        side = "cooperating" if s == COOPERATE else "defecting"
-        raise ValueError(f"cooperator count impossible for a {side} alliance")
-    return float(table[s, b])
-
-
 @dataclass(frozen=True)
 class PayoffVectors:
-    """Average alliance and outsider payoffs, by state or by unison outcome."""
+    """Average alliance and outsider payoffs: by cooperator counts
+    (:func:`count_payoffs`), or gathered from them by state, by unison
+    outcome or by alliance-lumped state."""
 
     alliance: np.ndarray
     outsiders: np.ndarray
@@ -144,45 +121,51 @@ class PayoffVectors:
 
 
 @functools.lru_cache(maxsize=None)
-def payoff_vectors(shape: GameShape) -> PayoffVectors:
-    """Average payoffs of the alliance group and the outsider group per state.
+def count_payoffs(shape: GameShape) -> PayoffVectors:
+    """Average payoffs of the alliance and the outsiders when k alliance
+    members and b players in all cooperate: read-only (n_alliance + 1,
+    N + 1) arrays indexed [k, b], NaN where (k, b) cannot occur.
 
-    Every state is covered: on alliance-unison states the values reduce to
-    the closed forms above; split states use the same per-group averages of
-    the individual payoffs.
+    Each player earns ``r * b / N`` and a defector 1 more, as in
+    :func:`utility`; this is the only place that rule is written.
     """
     n, na = shape.n_players, shape.n_alliance
-    bits = state_bits(n)
-    # utility(a, b - a, n - 1, r) of every player in every state
-    pays = shape.r * bits.sum(axis=1)[:, None] / n + (1 - bits)
+    k, b = np.arange(na + 1)[:, None], np.arange(n + 1)
+    base = shape.r * b / n
+    tables = (base + (na - k) / na,
+              ((b - k) * base + (n - na - b + k) * (base + 1.0)) / (n - na))
+    for table in tables:
+        table[(b < k) | (b - k > n - na)] = np.nan
+        table.flags.writeable = False
+    return PayoffVectors(*tables, shape)
 
-    def group_mean(players):
-        acc = np.zeros(shape.n_states)
-        for i in players:
-            acc += pays[:, i]
-        acc /= len(players)
-        acc.flags.writeable = False
-        return acc
 
-    return PayoffVectors(group_mean(range(na)), group_mean(range(na, n)),
-                         shape)
+def _gather(shape, k, b):
+    """Read-only entries [k, b] of :func:`count_payoffs`."""
+    table = count_payoffs(shape)
+    vectors = table.alliance[k, b], table.outsiders[k, b]
+    for vec in vectors:
+        vec.flags.writeable = False
+    return PayoffVectors(*vectors, shape)
+
+
+@functools.lru_cache(maxsize=None)
+def payoff_vectors(shape: GameShape) -> PayoffVectors:
+    """Average payoffs of the alliance group and the outsider group per
+    state: the :func:`count_payoffs` entry of the state's cooperating
+    alliance members and cooperators in all, split states included."""
+    bits = state_bits(shape.n_players)
+    return _gather(shape, bits[:, :shape.n_alliance].sum(axis=1),
+                   bits.sum(axis=1))
 
 
 @functools.lru_cache(maxsize=None)
 def unison_payoffs(shape: GameShape) -> PayoffVectors:
-    """Closed-form average payoffs of the unison outcomes: read-only
-    (2, N + 1) arrays indexed [s, b] by the alliance's common action s and
-    the total cooperator count b, NaN where b cannot occur with s."""
-    n, na = shape.n_players, shape.n_alliance
-    b = np.arange(n + 1)
-    base = shape.r * b / n
-    tables = (np.stack([base + 1.0, base]),
-              np.stack([(b * base + (n - na - b) * (base + 1.0)) / (n - na),
-                        ((b - na) * base + (n - b) * (base + 1.0)) / (n - na)]))
-    for table in tables:
-        table[0, n - na + 1:] = table[1, :na] = np.nan
-        table.flags.writeable = False
-    return PayoffVectors(*tables, shape)
+    """Average payoffs of the unison outcomes: read-only (2, N + 1) arrays
+    indexed [s, b] by the alliance's common action s and the total
+    cooperator count b, NaN where b cannot occur with s; rows 0 and
+    n_alliance of :func:`count_payoffs`."""
+    return _gather(shape, [0, shape.n_alliance], slice(None))
 
 
 @functools.lru_cache(maxsize=None)
@@ -191,9 +174,5 @@ def lumped_payoff_vectors(shape: GameShape) -> PayoffVectors:
     alliance's unison action, the other bits are the outsiders (leaders,
     then followers)."""
     bits = state_bits(shape.n_players - shape.n_alliance + 1)
-    s, b = bits[:, 0], shape.n_alliance * bits[:, 0] + bits[:, 1:].sum(axis=1)
-    table = unison_payoffs(shape)
-    vectors = table.alliance[s, b], table.outsiders[s, b]
-    for vec in vectors:
-        vec.flags.writeable = False
-    return PayoffVectors(*vectors, shape)
+    k = shape.n_alliance * bits[:, 0]
+    return _gather(shape, k, k + bits[:, 1:].sum(axis=1))

@@ -221,17 +221,6 @@ def ingest_trace(records, min_contacts: int = 1) -> Graph:
                             if c >= min_contacts])
 
 
-@dataclass(frozen=True)
-class DegreeStats:
-    degrees: tuple
-    mean: float
-
-
-def degree_stats(g: Graph) -> DegreeStats:
-    degrees = tuple(g.degrees.tolist())
-    return DegreeStats(degrees, sum(degrees) / g.n)
-
-
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Dense read-only 0/1 adjacency as float64, so a mask or frontier
     product is one BLAS call."""

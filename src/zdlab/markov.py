@@ -99,7 +99,6 @@ class FollowerStrategy:
 class TransitionMatrix:
     matrix: np.ndarray
     shape: GameShape
-    coupled: bool
     lumped: bool = False
 
 
@@ -144,7 +143,7 @@ def build_transition_matrix(shape: GameShape, leaders, followers,
     weights = (1,) * shape.n_leaders
     n_tied = shape.n_alliance if coupling else 0
     matrix = _chain(weights, leaders, followers, n_tied)
-    return TransitionMatrix(matrix, shape, coupling)
+    return TransitionMatrix(matrix, shape)
 
 
 def build_lumped_matrix(shape: GameShape, leaders,
@@ -161,7 +160,7 @@ def build_lumped_matrix(shape: GameShape, leaders,
     _check_strategies(shape, leaders, followers, n_movers)
     weights = (shape.n_alliance,) + (1,) * (n_movers - 1)
     matrix = _chain(weights, leaders, followers, 0)
-    return TransitionMatrix(matrix, shape, True, lumped=True)
+    return TransitionMatrix(matrix, shape, lumped=True)
 
 
 def _read_only(array):

@@ -41,6 +41,8 @@ class GAConfig:
             raise ValueError("elitism count out of range")
         if self.tournament_size < 1:
             raise ValueError("tournament size must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def _check_k(g: Graph, k: int):

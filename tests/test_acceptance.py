@@ -16,7 +16,7 @@ from zdlab.alliance import (ZDParams, dominance_check, feasible_l_range,
                             random_outsiders, synthesize, verify_enforcement)
 from zdlab.errors import InfeasibleError
 from zdlab.field import Deployment, cooperator_ratio, evaluate
-from zdlab.game import GameShape, PayoffScale, alliance_unison_payoff
+from zdlab.game import GameShape, PayoffScale, unison_payoffs
 from zdlab.graphs import betweenness, generate
 from zdlab.markov import (FollowerStrategy, LeaderStrategy,
                           build_transition_matrix, determinant_dot,
@@ -135,8 +135,8 @@ def test_criterion_04_cooperation_dominance():
         shape = GameShape(n, na, na, r)
         # direct oracle: unison payoffs for either outsider action
         for a in (0, 1):
-            coop = alliance_unison_payoff(1, na + a, shape)
-            defect = alliance_unison_payoff(0, a, shape)
+            coop = unison_payoffs(shape).alliance[1, na + a]
+            defect = unison_payoffs(shape).alliance[0, a]
             ok &= coop > defect
         ok &= dominance_check(shape)
     for na in (1, 2, 5):

@@ -586,6 +586,31 @@ class TestMain:
                        f"not {float(value)}\n")
         assert not (tmp_path / "g.txt").exists()
 
+    @pytest.mark.parametrize("command, option", [
+        ("opt", "--seed"),
+        ("verify", "--outsider-seed"),
+    ])
+    def test_negative_seed_option_exit_code(self, tmp_path, capsys, command,
+                                            option):
+        # numpy seeds must be non-negative; numpy's own message names no option
+        gpath = str(tmp_path / "g.txt")
+        required = {"opt": ["--graph", gpath, "--K", "1"],
+                    "verify": ["--players", "3", "--alliance", "2",
+                               "--r", "9", "--l", "5"]}
+        Graph(3, [(0, 1), (1, 2)]).write(gpath)
+        assert main([command, *required[command], f"{option}=-1"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {option} must be non-negative, not -1\n"
+
+    def test_negative_sweep_seed_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(tmp_path, seed=-5)))
+        assert main(["sweep", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "'seed'" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "sweep.csv").exists()
+
     @pytest.mark.parametrize("text, line, fault", [
         ("V x\n", 1, "node count 'x' is not an integer"),
         ("# graph\nV 3.0\n", 2, "node count '3.0' is not an integer"),

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from zdlab.game import (GameShape, PayoffScale, alliance_unison_payoff,
+from zdlab.game import (GameShape, PayoffScale, count_payoffs,
                         is_social_dilemma, lumped_payoff_vectors,
-                        outsider_unison_payoff, payoff_vectors, state_bits,
-                        unison_payoffs, utility)
+                        payoff_vectors, state_bits, unison_payoffs, utility)
 
 R = 9.0
 FIG_SHAPE = GameShape(3, 2, 2, R)
@@ -14,6 +13,13 @@ FIG_SHAPE = GameShape(3, 2, 2, R)
 # every split of N = 2..8 players at two payoff factors
 SPLIT_SHAPES = [GameShape(n, nl, na, r) for n in range(2, 9)
                 for r in (2.0 * n + 3.0, n + 0.5) for nl in range(1, n + 1)
+                for na in range(1, min(nl, n - 1) + 1)]
+
+# every split of N = 2..10 players at three payoff factors, the last one
+# large enough that a defector's extra 1 sits near the rounding of r * b / N
+COUNT_SHAPES = [GameShape(n, nl, na, r) for n in range(2, 11)
+                for r in (2.0 * n + 3.0, n + 0.5, 1e6 + 0.1)
+                for nl in range(1, n + 1)
                 for na in range(1, min(nl, n - 1) + 1)]
 
 
@@ -117,14 +123,15 @@ class TestGameShape:
 class TestPayoffVectors:
     def test_worked_example_symbolic(self):
         # alliance unison outcomes (s, b): values 2r/3, r, 1, r/3 + 1
-        assert alliance_unison_payoff(1, 2, FIG_SHAPE) == pytest.approx(2 * R / 3)
-        assert alliance_unison_payoff(1, 3, FIG_SHAPE) == pytest.approx(R)
-        assert alliance_unison_payoff(0, 0, FIG_SHAPE) == pytest.approx(1.0)
-        assert alliance_unison_payoff(0, 1, FIG_SHAPE) == pytest.approx(R / 3 + 1)
-        assert outsider_unison_payoff(1, 2, FIG_SHAPE) == pytest.approx(2 * R / 3 + 1)
-        assert outsider_unison_payoff(1, 3, FIG_SHAPE) == pytest.approx(R)
-        assert outsider_unison_payoff(0, 0, FIG_SHAPE) == pytest.approx(1.0)
-        assert outsider_unison_payoff(0, 1, FIG_SHAPE) == pytest.approx(R / 3)
+        table = unison_payoffs(FIG_SHAPE)
+        assert table.alliance[1, 2] == pytest.approx(2 * R / 3)
+        assert table.alliance[1, 3] == pytest.approx(R)
+        assert table.alliance[0, 0] == pytest.approx(1.0)
+        assert table.alliance[0, 1] == pytest.approx(R / 3 + 1)
+        assert table.outsiders[1, 2] == pytest.approx(2 * R / 3 + 1)
+        assert table.outsiders[1, 3] == pytest.approx(R)
+        assert table.outsiders[0, 0] == pytest.approx(1.0)
+        assert table.outsiders[0, 1] == pytest.approx(R / 3)
 
     def test_worked_example_r9(self):
         pv = payoff_vectors(FIG_SHAPE)
@@ -145,19 +152,20 @@ class TestPayoffVectors:
                 for na in range(1, min(nl, n - 1) + 1):
                     shape = GameShape(n, nl, na, 2 * n + 3)
                     pv = payoff_vectors(shape)
+                    table = unison_payoffs(shape)
                     for state in range(shape.n_states):
                         acts = state_bits(n)[state].tolist()
                         if len(set(acts[:na])) != 1:
                             continue
                         s, b = acts[0], sum(acts)
                         assert pv.alliance[state] == pytest.approx(
-                            alliance_unison_payoff(s, b, shape))
+                            table.alliance[s, b])
                         assert pv.outsiders[state] == pytest.approx(
-                            outsider_unison_payoff(s, b, shape))
+                            table.outsiders[s, b])
 
     def test_total_payoff_identity(self):
         # group averages recombine to the sum of individual payoffs
-        for n in range(2, 7):
+        for n in range(2, 11):
             shape = GameShape(n, max(1, n - 1), max(1, n - 2) or 1, 2 * n + 3)
             na = shape.n_alliance
             pv = payoff_vectors(shape)
@@ -167,14 +175,6 @@ class TestPayoffVectors:
                 total = sum(utility(a, b - a, n - 1, shape.r) for a in acts)
                 recombined = na * pv.alliance[state] + (n - na) * pv.outsiders[state]
                 assert recombined == pytest.approx(total)
-
-    def test_split_state_rejected_by_closed_form(self):
-        with pytest.raises(ValueError):
-            alliance_unison_payoff(1, 1, FIG_SHAPE)
-        with pytest.raises(ValueError):
-            outsider_unison_payoff(0, 2, FIG_SHAPE)
-        with pytest.raises(ValueError):
-            outsider_unison_payoff(2, 2, FIG_SHAPE)
 
 
 class TestUnisonPayoffs:
@@ -197,8 +197,6 @@ class TestUnisonPayoffs:
                     ga, go = reference_unison(s, b, shape)
                     assert table.alliance[s, b] == ga
                     assert table.outsiders[s, b] == go
-                    assert alliance_unison_payoff(s, b, shape) == ga
-                    assert outsider_unison_payoff(s, b, shape) == go
 
     def test_lumped_vectors_equal_closed_forms(self):
         # lumped state: bit 0 is the alliance's action, the other bits are
@@ -216,3 +214,54 @@ class TestUnisonPayoffs:
                 ga, go = reference_unison(s, na * s + sum(acts[1:]), shape)
                 assert lumped.alliance[state] == ga
                 assert lumped.outsiders[state] == go
+
+
+def reference_counts(k, b, shape):
+    """Means of :func:`zdlab.game.utility` over the alliance's and the
+    outsiders' players when k members and b players in all cooperate, or
+    None where (k, b) cannot occur."""
+    n, na = shape.n_players, shape.n_alliance
+    if not 0 <= b - k <= n - na:
+        return None
+    coop = utility(1, b - 1, n - 1, shape.r) if b else None
+    defect = utility(0, b, n - 1, shape.r) if b < n else None
+    alliance = [coop] * k + [defect] * (na - k)
+    outsiders = [coop] * (b - k) + [defect] * (n - na - b + k)
+    return (math.fsum(alliance) / na, math.fsum(outsiders) / (n - na))
+
+
+class TestCountPayoffs:
+    def test_table_matches_utility_means(self):
+        for shape in COUNT_SHAPES:
+            n, na = shape.n_players, shape.n_alliance
+            table = count_payoffs(shape)
+            assert count_payoffs(shape) is table
+            for array in (table.alliance, table.outsiders):
+                assert array.shape == (na + 1, n + 1)
+                assert not array.flags.writeable
+            for k in range(na + 1):
+                for b in range(n + 1):
+                    got = table.alliance[k, b], table.outsiders[k, b]
+                    want = reference_counts(k, b, shape)
+                    if want is None:
+                        assert np.isnan(got).all()
+                        continue
+                    for g, w in zip(got, want):
+                        assert math.isclose(g, w, rel_tol=1e-15), (shape, k, b)
+
+    def test_views_are_exact_entries(self):
+        # unison rows are k = 0 and k = n_alliance; a lumped state gathers
+        # (n_alliance * s, n_alliance * s + outsider cooperators)
+        for shape in COUNT_SHAPES:
+            na = shape.n_alliance
+            table = count_payoffs(shape)
+            unison = unison_payoffs(shape)
+            bits = state_bits(shape.n_players - na + 1)
+            k = na * bits[:, 0]
+            lumped = lumped_payoff_vectors(shape)
+            for side in ("alliance", "outsiders"):
+                full = getattr(table, side)
+                assert (getattr(unison, side).tobytes()
+                        == full[[0, na]].tobytes())
+                assert (getattr(lumped, side).tobytes()
+                        == full[k, k + bits[:, 1:].sum(axis=1)].tobytes())

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zdlab import graphs
+from zdlab.cli import main
 from zdlab.errors import TraceParseError
-from zdlab.graphs import (Graph, TraceRecord, betweenness, degree_stats,
-                          generate, ingest_trace, parse_trace)
+from zdlab.graphs import (Graph, TraceRecord, betweenness, generate,
+                          ingest_trace, parse_trace)
 
 
 def brute_betweenness(g):
@@ -240,10 +241,14 @@ class TestTrace:
 
 
 class TestMetrics:
-    def test_degree_stats(self):
-        stats = degree_stats(generate("star", 5))
-        assert stats.degrees == (4, 1, 1, 1, 1)
-        assert stats.mean == pytest.approx(8 / 5)
+    def test_degree_stats(self, tmp_path, capsys):
+        path = str(tmp_path / "star.txt")
+        generate("star", 5).write(path)
+        assert main(["metrics", "--graph", path, "--per-node"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["nodes 5 edges 4", "mean_degree 1.6"]
+        assert [line.split()[1] for line in lines[3:]] == [
+            f"degree={d}" for d in (4, 1, 1, 1, 1)]
 
     def test_star_hub_betweenness(self):
         for n in (4, 7, 10):

@@ -386,6 +386,8 @@ class TestGA:
             GAConfig(crossover_rate=1.5)
         with pytest.raises(ValueError):
             GAConfig(elitism_count=-1)
+        with pytest.raises(ValueError, match="seed"):
+            GAConfig(seed=-1)
 
 
 class TestFixK:
