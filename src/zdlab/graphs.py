@@ -120,9 +120,10 @@ def generate(topology: str, n: int, seed: int = 0,
     """Deterministic topology generators used in the experiments."""
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}")
-    if topology == "ring":
+    if topology in ("ring", "mesh"):
+        # a ring, and a mesh's min-degree-2 repair, need three nodes
         if n < 3:
-            raise ValueError("a ring needs at least three nodes")
+            raise ValueError(f"a {topology} needs at least three nodes")
     elif n < 2:
         raise ValueError(f"a {topology} needs at least two nodes")
 
@@ -237,7 +238,6 @@ def shared_adjacency(g: Graph) -> np.ndarray:
     return adjacency_matrix(g)
 
 
-@functools.lru_cache(maxsize=1)
 def betweenness(g: Graph) -> tuple[float, ...]:
     """Shortest-path betweenness per node, unnormalized, with fractional
     credit on ties; each unordered pair counted once.
@@ -245,8 +245,7 @@ def betweenness(g: Graph) -> tuple[float, ...]:
     Brandes' dependency recursion run from a block of sources at once, one
     dense product per BFS level (see :func:`_dependencies`). Blocks hold
     about ``BETWEENNESS_BLOCK`` entries per array, so memory beyond the
-    V x V adjacency stays bounded. The last graph's scores are cached, so
-    the optimizer and the sweep share one computation per graph.
+    V x V adjacency stays bounded.
     """
     adj = shared_adjacency(g)
     rows = max(1, BETWEENNESS_BLOCK // g.n)

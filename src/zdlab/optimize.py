@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ExhaustiveCapError
 from .field import Deployment, _placement_tables, objective_from_mask
 from .game import PayoffScale
-from .graphs import Graph, betweenness, shared_adjacency
+from .graphs import Graph, shared_adjacency
 
 # mask elements scored per exhaustive-search block
 EXHAUSTIVE_BLOCK = 8192
@@ -80,7 +80,9 @@ def optimize_ga(g: Graph, k: int, scale: PayoffScale,
                 cfg: GAConfig = GAConfig()):
     """Best deployment found by the GA.
 
-    Each generation keeps the elite, breeds all children at once
+    The initial population holds the K highest-degree nodes (ties to the
+    lower id) and ``population_size - 1`` uniformly random K-sets. Each
+    generation keeps the elite, breeds all children at once
     (tournament selection, uniform crossover, bit-flip mutation, then
     :func:`fix_k`) and scores the population in one kernel call.
 
@@ -93,10 +95,9 @@ def optimize_ga(g: Graph, k: int, scale: PayoffScale,
     mutation_rate = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / n
     n_children = size - cfg.elitism_count
 
-    seeded = np.array([_top_k_mask(g.degrees, k),
-                       _top_k_mask(betweenness(g), k)])
     population = np.concatenate(
-        [seeded, fix_k(np.zeros((size - len(seeded), n), dtype=bool), k, rng)])
+        [_top_k_mask(g.degrees, k)[None],
+         fix_k(np.zeros((size - 1, n), dtype=bool), k, rng)])
     scores = objective_from_mask(g, population, scale)
 
     # index arrays that pick each tournament's winner out of ``picks``

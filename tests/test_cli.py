@@ -244,7 +244,7 @@ class TestSweep:
         run_sweep(cfg)
         text = "\n".join(strip_wall(cfg.output)) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "8138d95d7b8a0e995148e0de3ebdb6e1d39b42fcfa67caa418544ff3a241071c")
+            "42cfc393ea90926cbb62878b30b859be840757e689692b5a9bc640389ed54cff")
 
     def test_ratio_mode_selects_nothing(self, tmp_path):
         # both ratio columns are always written, whatever the mode
@@ -702,6 +702,34 @@ class TestMain:
                      "--l", "5", "--outsider-file", str(path)]) == 0
         residual = float(capsys.readouterr().out.split()[-1])
         assert residual <= 1e-8
+
+    def test_opt_computes_no_betweenness(self, tmp_path, monkeypatch, capsys):
+        def refuse(adj, sources):
+            raise AssertionError("zdlab opt computed betweenness")
+
+        gpath = str(tmp_path / "mesh30.txt")
+        assert main(["topo", "--type", "mesh", "--n", "30",
+                     "--out", gpath]) == 0
+        monkeypatch.setattr(zdlab.graphs, "_dependencies", refuse)
+        assert main(["opt", "--graph", gpath, "--K", "2",
+                     "--population", "10", "--generations", "2"]) == 0
+        assert "zd_set " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("via", ["topo", "sweep"])
+    def test_two_node_mesh_exit_code(self, tmp_path, capsys, via):
+        out = tmp_path / "out.txt"
+        if via == "topo":
+            argv = ["topo", "--type", "mesh", "--n", "2", "--out", str(out)]
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(base_config(
+                tmp_path, topology={"type": "mesh", "n": 2},
+                k_range={"min": 1, "max": 1}, output=str(out))))
+            argv = ["sweep", "--config", str(cfg_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: a mesh needs at least three nodes\n"
+        assert not out.exists()
 
     def test_exhaustive_k_equal_v_exit_code(self, tmp_path, capsys):
         gpath = str(tmp_path / "ring6.txt")

@@ -199,6 +199,12 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate("mesh", 10, mesh_density=0.0)
 
+    def test_mesh_needs_three_nodes(self):
+        # two nodes cannot meet the min-degree-2 repair
+        with pytest.raises(ValueError, match="a mesh needs at least three nodes"):
+            generate("mesh", 2)
+        assert generate("mesh", 3, seed=4).edge_count == 3
+
 
 class TestTrace:
     def test_parse_formats(self):
@@ -273,7 +279,6 @@ class TestMetrics:
             # into several source blocks, the last one short
             for block in (graphs.BETWEENNESS_BLOCK, 50):
                 monkeypatch.setattr(graphs, "BETWEENNESS_BLOCK", block)
-                betweenness.cache_clear()
                 assert betweenness(g) == pytest.approx(expected)
 
     def test_relabel_invariance(self):
