@@ -161,12 +161,14 @@ def synthesize(params: ZDParams) -> SynthesisResult:
         phi = (interval[0] + interval[1]) / 2.0
 
     strategy = _alliance_strategy(shape, f, phi)
+    result = SynthesisResult(strategy, f, None, phi, interval, math.nan,
+                             params)
+    # the certificate's chain refuses an oversized game before the 2^N
+    # payoff vectors are built
+    certificate = verify_enforcement(result, _default_outsiders(shape))
     payoffs = payoff_vectors(shape)
     f_vector = chi * (payoffs.alliance - l) - (payoffs.outsiders - l)
-    result = SynthesisResult(strategy, f, f_vector, phi, interval, math.nan,
-                             params)
-    return replace(result, certificate=verify_enforcement(
-        result, _default_outsiders(shape)))
+    return replace(result, f_vector=f_vector, certificate=certificate)
 
 
 @functools.lru_cache(maxsize=None)
@@ -248,14 +250,10 @@ def stationary_payoffs(result: SynthesisResult, outsider_strategies):
     return expected_payoffs(shape, stationary(tm), payoffs)
 
 
-def verify_enforcement(result: SynthesisResult, outsider_strategies,
-                       chi: float | None = None, l: float | None = None) -> float:
+def verify_enforcement(result: SynthesisResult, outsider_strategies) -> float:
     """Residual of the enforced relation against the stationary oracle
     (``stationary_payoffs``)."""
-    if chi is None:
-        chi = result.params.chi
-    if l is None:
-        l = result.params.l
+    chi, l = result.params.chi, result.params.l
     pi_a, pi_out = stationary_payoffs(result, outsider_strategies)
     return abs(pi_out - chi * pi_a - (1 - chi) * l)
 

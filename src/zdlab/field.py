@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import PayoffScale
-from .graphs import Graph, shared_adjacency
-from .graphs import adjacency_matrix  # noqa: F401  (re-exported)
+from .graphs import Graph, adjacency_matrix
 
 
 @dataclass(frozen=True)
@@ -129,17 +128,19 @@ def _coop_table(scale: PayoffScale, max_degree: int):
 
 @functools.lru_cache(maxsize=1)
 def _placement_tables(g: Graph, scale: PayoffScale):
-    """The kernel's tables ``(adj_w, base, q)`` for the last (graph, scale).
+    """The kernel's tables ``(adj_w, base, q)`` for the last (graph, scale),
+    the only V x V array kept between calls.
 
-    ``adj_w`` is the adjacency with ``W = max_degree + 1`` on its diagonal,
-    so ``mask @ adj_w`` counts a node's ZD neighbours and adds W when the
-    node is itself ZD. ``base[u] = 2 W u`` offsets node u into the flat
-    (V, 2W) table ``q``: ``q[u, m]`` is u's cooperation probability with m
-    ZD neighbours, from :func:`_coop_table`, and 0.0 for m >= W.
+    ``adj_w`` is a fresh :func:`adjacency_matrix` with ``W = max_degree +
+    1`` written on its diagonal, so ``mask @ adj_w`` counts a node's ZD
+    neighbours and adds W when the node is itself ZD. ``base[u] = 2 W u``
+    offsets node u into the flat (V, 2W) table ``q``: ``q[u, m]`` is u's
+    cooperation probability with m ZD neighbours, from :func:`_coop_table`,
+    and 0.0 for m >= W.
     """
     degrees = g.degrees
     width = int(degrees.max()) + 1
-    adj_w = shared_adjacency(g).copy()
+    adj_w = adjacency_matrix(g)
     adj_w.flat[::g.n + 1] = width
     base = 2.0 * width * np.arange(g.n)
     coop = _coop_table(scale, width - 1)[1]
@@ -158,3 +159,26 @@ def objective_from_mask(g: Graph, masks: np.ndarray,
     :func:`evaluate`, and ZD nodes add 0.0. Returns shape (P,)."""
     adj_w, base, q = _placement_tables(g, scale)
     return q.take((masks @ adj_w + base).astype(np.intp)).sum(axis=1)
+
+
+def _extension_scores(g: Graph, adj: np.ndarray, masks: np.ndarray,
+                      scale: PayoffScale) -> np.ndarray:
+    """First-order scores of one-node extensions. ``adj`` is ``g``'s
+    :func:`adjacency_matrix` and ``masks`` a (V, P) boolean array, one
+    prefix per column; entry [v, p] of the (V, P) result approximates
+    :func:`objective_from_mask`'s score of prefix p plus node v, for each v
+    outside prefix p.
+
+    With c the prefix's ZD-neighbour counts, q0 = q[u, c_u] and
+    d = q[u, c_u + 1] - q0 (0.0 on the prefix's own nodes), adding v
+    changes the sum of q0 by (A @ d)[v] - q0[v]: one product scores all V
+    extensions of every prefix.
+    """
+    adj_w, base, q = _placement_tables(g, scale)
+    idx = (adj_w @ masks + base[:, None]).astype(np.intp)
+    q0 = q.take(idx)
+    # on a prefix's own nodes idx + 1 can reach the next node's table (or
+    # one past the end), so those differences are zeroed
+    d = q.take(idx + 1, mode="clip") - q0
+    d[masks] = 0.0
+    return (q0.sum(axis=0) - q0) + adj @ d

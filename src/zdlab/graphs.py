@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -223,19 +222,11 @@ def ingest_trace(records, min_contacts: int = 1) -> Graph:
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    """Dense read-only 0/1 adjacency as float64, so a mask or frontier
-    product is one BLAS call."""
+    """A new dense 0/1 adjacency as float64, owned by the caller, so a mask
+    or frontier product is one BLAS call."""
     adj = np.zeros((g.n, g.n))
     adj[np.repeat(np.arange(g.n), g.degrees), g.indices] = 1.0
-    adj.flags.writeable = False
     return adj
-
-
-@functools.lru_cache(maxsize=1)
-def shared_adjacency(g: Graph) -> np.ndarray:
-    """The last graph's :func:`adjacency_matrix`, built once and shared by
-    :func:`betweenness` and the placement kernel's tables."""
-    return adjacency_matrix(g)
 
 
 def betweenness(g: Graph) -> tuple[float, ...]:
@@ -247,7 +238,7 @@ def betweenness(g: Graph) -> tuple[float, ...]:
     about ``BETWEENNESS_BLOCK`` entries per array, so memory beyond the
     V x V adjacency stays bounded.
     """
-    adj = shared_adjacency(g)
+    adj = adjacency_matrix(g)
     rows = max(1, BETWEENNESS_BLOCK // g.n)
     scores = np.zeros(g.n)
     for first in range(0, g.n, rows):

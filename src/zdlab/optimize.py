@@ -11,9 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExhaustiveCapError
-from .field import Deployment, _placement_tables, objective_from_mask
+from .field import Deployment, _extension_scores, objective_from_mask
 from .game import PayoffScale
-from .graphs import Graph, shared_adjacency
+from .graphs import Graph, adjacency_matrix
 
 # mask elements scored per exhaustive-search block
 EXHAUSTIVE_BLOCK = 8192
@@ -151,28 +151,6 @@ def _record_slack(n: int) -> float:
     return 4.0 * m * gamma
 
 
-def _extension_scores(g: Graph, masks: np.ndarray,
-                      scale: PayoffScale) -> np.ndarray:
-    """First-order scores of one-node extensions. ``masks`` is a (V, P)
-    boolean array, one prefix per column; entry [v, p] of the (V, P)
-    result approximates the kernel's score of prefix p plus node v, for
-    each v outside prefix p.
-
-    With c the prefix's ZD-neighbour counts, q0 = q[u, c_u] and
-    d = q[u, c_u + 1] - q0 (0.0 on the prefix's own nodes), adding v
-    changes the sum of q0 by (A @ d)[v] - q0[v]: one product scores all V
-    extensions of every prefix.
-    """
-    adj_w, base, q = _placement_tables(g, scale)
-    idx = (adj_w @ masks + base[:, None]).astype(np.intp)
-    q0 = q.take(idx)
-    # on a prefix's own nodes idx + 1 can reach the next node's table (or
-    # one past the end), so those differences are zeroed
-    d = q.take(idx + 1, mode="clip") - q0
-    d[masks] = 0.0
-    return (q0.sum(axis=0) - q0) + shared_adjacency(g) @ d
-
-
 def _plan_blocks(n: int, k: int, rows: int):
     """The part of :func:`optimize_exhaustive`'s blocks that does not read
     the graph: for each block of ``rows`` (K-1)-prefixes of range(n - 1),
@@ -220,6 +198,7 @@ def optimize_exhaustive(g: Graph, k: int, scale: PayoffScale,
             f"{total} candidate subsets exceed the cap of {cap}"
         )
     n = g.n
+    adj = adjacency_matrix(g)
     slack = _record_slack(n)
     rows = max(1, EXHAUSTIVE_BLOCK // n)
     best, best_score = None, -math.inf
@@ -229,7 +208,7 @@ def optimize_exhaustive(g: Graph, k: int, scale: PayoffScale,
     # streams, so memory stays O(block)
     small = n * math.comb(n - 1, k - 1) <= 32 * EXHAUSTIVE_BLOCK
     for masks, valid in (_cached_plan if small else _plan_blocks)(n, k, rows):
-        approx = np.where(valid, _extension_scores(g, masks, scale), -math.inf)
+        approx = np.where(valid, _extension_scores(g, adj, masks, scale), -math.inf)
         # prefixes holding a possible record, by their best extension and
         # the approximate running maximum over earlier prefixes
         top = approx.max(axis=0)

@@ -309,8 +309,9 @@ class TestEnforcement:
     def test_wrong_target_detected(self):
         result = synthesize(ZDParams(0.0, 4.0, FIG_SHAPE))
         rng = np.random.default_rng(1)
-        residual = verify_enforcement(result, random_outsiders(FIG_SHAPE, rng),
-                                      l=6.0)
+        wrong = dataclasses.replace(
+            result, params=dataclasses.replace(result.params, l=6.0))
+        residual = verify_enforcement(wrong, random_outsiders(FIG_SHAPE, rng))
         assert residual > 0.1
 
     @pytest.mark.parametrize("dims, digest", [

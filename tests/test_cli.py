@@ -6,6 +6,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -503,13 +504,27 @@ class TestMain:
         assert err.startswith("error: ") and str(out) in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["synth", "verify"])
-    def test_player_cap_exit_code(self, capsys, command):
-        rc = main([command, "--players", "11", "--alliance", "10", "--r", "25",
-                   "--chi", "0", "--l", "5"])
+    # l is the midpoint of feasible_l_range(0.0, ...); the refusal comes
+    # before any 2^N table is built
+    @pytest.mark.parametrize("command, players, r, l", [
+        ("synth", 11, 25, 5), ("verify", 11, 25, 5),
+        ("synth", 20, 43, 22), ("verify", 20, 43, 22),
+        ("synth", 64, 131, 66), ("verify", 64, 131, 66),
+    ], ids=["synth", "verify", "synth-20", "verify-20", "synth-64",
+            "verify-64"])
+    def test_player_cap_exit_code(self, capsys, command, players, r, l):
+        tracemalloc.start()
+        try:
+            rc = main([command, "--players", str(players),
+                       "--alliance", str(players - 1), "--r", str(r),
+                       "--chi", "0", "--l", str(l)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert rc == 2
         err = capsys.readouterr().err
         assert err == "error: state space capped at 10 players\n"
+        assert peak < 4 * 2**20
 
     def test_exhaustive_cap_exit_code(self, tmp_path, capsys):
         gpath = str(tmp_path / "mesh80.txt")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from zdlab import graphs, optimize
 from zdlab.field import Deployment, evaluate, objective_from_mask
 from zdlab.game import PayoffScale
-from zdlab.graphs import Graph, generate
+from zdlab.graphs import Graph, adjacency_matrix, generate
 from zdlab.optimize import (ExhaustiveCapError, GAConfig, fix_k,
                             lex_combinations, optimize_exhaustive,
                             optimize_ga)
@@ -149,7 +149,7 @@ class TestExhaustive:
                                for r in rows])
             return values if masks.ndim == 2 else float(values[0])
 
-        def fake_extension_scores(adj, masks, scale):
+        def fake_extension_scores(g, adj, masks, scale):
             # entries the search must not read are infinite
             out = np.full(masks.shape, np.inf)
             for p, column in enumerate(masks.T):
@@ -201,7 +201,8 @@ class TestExhaustive:
             for block in lex_combinations(g.n - 1, k - 1, 64):
                 masks = np.zeros((len(block), g.n), dtype=bool)
                 np.put_along_axis(masks, block, True, axis=1)
-                approx = optimize._extension_scores(g, masks.T, SCALE).T
+                approx = optimize._extension_scores(
+                    g, adjacency_matrix(g), masks.T, SCALE).T
                 p, v = np.nonzero(~masks)
                 subsets = masks[p]
                 subsets[np.arange(len(p)), v] = True
@@ -223,6 +224,18 @@ class TestExhaustive:
         assert peak < 2 * 2**20
         assert len(dep.zd_nodes) == k
         assert score == evaluate(dep).objective
+
+    def test_ga_holds_one_adjacency(self):
+        # the kernel's tables hold the only V x V array a GA run builds
+        g = generate("ring", 2000)
+        cfg = GAConfig(population_size=4, generations=1)
+        tracemalloc.start()
+        try:
+            optimize_ga(g, 2, PayoffScale(), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * g.n ** 2
 
     def test_plan_blocks_hold_prefixes_and_extensions(self):
         for n in range(2, 10):
