@@ -171,7 +171,7 @@ def synthesize(params: ZDParams) -> SynthesisResult:
     return replace(result, f_vector=f_vector, certificate=certificate)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _strategy_indices(shape):
     """Per-shape arrays of ``_alliance_strategy``, each shaped like a
     leader table: the flat index into the (2, N + 1) ``f`` array of the
@@ -204,7 +204,7 @@ def _alliance_strategy(shape, f, phi):
     return LeaderStrategy(0, np.clip(p, 0.0, 1.0))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _default_outsiders(shape):
     # shared between calls: the strategy tables are read-only
     leaders = [LeaderStrategy.constant(i, shape, 0.5)

@@ -82,9 +82,7 @@ _OBJ = (dict,)
 _LIST = (list,)
 _NULL = (type(None),)
 
-_GA_TYPES = {"population_size": _INT, "generations": _INT,
-             "tournament_size": _INT, "crossover_rate": _NUM,
-             "mutation_rate": _NUM + _NULL, "elitism_count": _INT}
+_GA_TYPES = {"population_size": _INT, "generations": _INT}
 
 
 def _is_a(value, kinds):

@@ -117,10 +117,9 @@ class PayoffVectors:
 
     alliance: np.ndarray
     outsiders: np.ndarray
-    shape: GameShape
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def count_payoffs(shape: GameShape) -> PayoffVectors:
     """Average payoffs of the alliance and the outsiders when k alliance
     members and b players in all cooperate: read-only (n_alliance + 1,
@@ -137,7 +136,7 @@ def count_payoffs(shape: GameShape) -> PayoffVectors:
     for table in tables:
         table[(b < k) | (b - k > n - na)] = np.nan
         table.flags.writeable = False
-    return PayoffVectors(*tables, shape)
+    return PayoffVectors(*tables)
 
 
 def _gather(shape, k, b):
@@ -146,10 +145,10 @@ def _gather(shape, k, b):
     vectors = table.alliance[k, b], table.outsiders[k, b]
     for vec in vectors:
         vec.flags.writeable = False
-    return PayoffVectors(*vectors, shape)
+    return PayoffVectors(*vectors)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def payoff_vectors(shape: GameShape) -> PayoffVectors:
     """Average payoffs of the alliance group and the outsider group per
     state: the :func:`count_payoffs` entry of the state's cooperating
@@ -159,7 +158,7 @@ def payoff_vectors(shape: GameShape) -> PayoffVectors:
                    bits.sum(axis=1))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def unison_payoffs(shape: GameShape) -> PayoffVectors:
     """Average payoffs of the unison outcomes: read-only (2, N + 1) arrays
     indexed [s, b] by the alliance's common action s and the total
@@ -168,7 +167,7 @@ def unison_payoffs(shape: GameShape) -> PayoffVectors:
     return _gather(shape, [0, shape.n_alliance], slice(None))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def lumped_payoff_vectors(shape: GameShape) -> PayoffVectors:
     """The unison payoffs on the alliance-lumped states: bit 0 is the
     alliance's unison action, the other bits are the outsiders (leaders,

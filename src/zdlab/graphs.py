@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -12,6 +13,7 @@ from .errors import TraceParseError
 
 TOPOLOGIES = ("star", "ring", "tree", "mesh")
 DEFAULT_MESH_DENSITY = 0.49
+MAX_GENERATED_EDGES = 1_000_000
 # array entries per betweenness source block (8 MB of float64)
 BETWEENNESS_BLOCK = 1 << 20
 
@@ -116,7 +118,8 @@ def _read_int(token, what, where):
 
 def generate(topology: str, n: int, seed: int = 0,
              mesh_density: float | None = None) -> Graph:
-    """Deterministic topology generators used in the experiments."""
+    """Deterministic topology generators used in the experiments. A graph
+    expected to hold over ``MAX_GENERATED_EDGES`` edges is refused first."""
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}")
     if topology in ("ring", "mesh"):
@@ -125,6 +128,15 @@ def generate(topology: str, n: int, seed: int = 0,
             raise ValueError(f"a {topology} needs at least three nodes")
     elif n < 2:
         raise ValueError(f"a {topology} needs at least two nodes")
+    density = DEFAULT_MESH_DENSITY if mesh_density is None else mesh_density
+    if topology == "mesh" and not 0.0 < density <= 1.0:
+        raise ValueError("mesh density must lie in (0, 1]")
+    # exact, where a float product would overflow for a huge n
+    expected = (n * (n - 1) // 2 * Fraction(density) if topology == "mesh"
+                else n if topology == "ring" else n - 1)
+    if expected > MAX_GENERATED_EDGES:
+        raise ValueError(f"a {topology} on {n} nodes expects {round(expected)} "
+                         f"edges, over the limit of {MAX_GENERATED_EDGES}")
 
     if topology == "star":
         edges = [(0, leaf) for leaf in range(1, n)]
@@ -134,9 +146,6 @@ def generate(topology: str, n: int, seed: int = 0,
         # complete binary tree filled level by level
         edges = [(child, (child - 1) // 2) for child in range(1, n)]
     else:
-        density = DEFAULT_MESH_DENSITY if mesh_density is None else mesh_density
-        if not 0.0 < density <= 1.0:
-            raise ValueError("mesh density must lie in (0, 1]")
         rng = random.Random(seed)
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                  if rng.random() < density]

@@ -17,16 +17,17 @@ from .graphs import Graph, adjacency_matrix
 
 # mask elements scored per exhaustive-search block
 EXHAUSTIVE_BLOCK = 8192
+EXHAUSTIVE_CAP = 2_000_000  # most subsets C(V, K) a search enumerates
+# the GA's fixed operators (see optimize_ga)
+TOURNAMENT_SIZE = 3
+CROSSOVER_RATE = 0.9
+ELITISM_COUNT = 2
 
 
 @dataclass(frozen=True)
 class GAConfig:
     population_size: int = 100
     generations: int = 300
-    tournament_size: int = 3
-    crossover_rate: float = 0.9
-    mutation_rate: float | None = None  # default 1/V per gene
-    elitism_count: int = 2
     seed: int = 0
 
     def __post_init__(self):
@@ -34,13 +35,6 @@ class GAConfig:
             raise ValueError("population must hold at least two individuals")
         if self.generations < 1:
             raise ValueError("generations must be at least 1")
-        for rate in (self.crossover_rate, self.mutation_rate):
-            if rate is not None and not 0.0 <= rate <= 1.0:
-                raise ValueError("rates must lie in [0, 1]")
-        if not 0 <= self.elitism_count <= self.population_size:
-            raise ValueError("elitism count out of range")
-        if self.tournament_size < 1:
-            raise ValueError("tournament size must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -82,9 +76,10 @@ def optimize_ga(g: Graph, k: int, scale: PayoffScale,
 
     The initial population holds the K highest-degree nodes (ties to the
     lower id) and ``population_size - 1`` uniformly random K-sets. Each
-    generation keeps the elite, breeds all children at once
-    (tournament selection, uniform crossover, bit-flip mutation, then
-    :func:`fix_k`) and scores the population in one kernel call.
+    generation keeps the ``ELITISM_COUNT`` = 2 best, breeds all children at
+    once (tournaments of ``TOURNAMENT_SIZE`` = 3, uniform crossover with
+    probability ``CROSSOVER_RATE`` = 0.9 per child, bit-flip mutation at
+    1/V per gene, then :func:`fix_k`) and scores them in one kernel call.
 
     Returns ``(deployment, objective, history)`` where history holds the
     per-generation best fitness (nondecreasing thanks to elitism).
@@ -92,8 +87,7 @@ def optimize_ga(g: Graph, k: int, scale: PayoffScale,
     _check_k(g, k)
     rng = np.random.default_rng(cfg.seed)
     n, size = g.n, cfg.population_size
-    mutation_rate = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / n
-    n_children = size - cfg.elitism_count
+    n_children = size - ELITISM_COUNT
 
     population = np.concatenate(
         [_top_k_mask(g.degrees, k)[None],
@@ -104,14 +98,14 @@ def optimize_ga(g: Graph, k: int, scale: PayoffScale,
     pair, child = np.arange(2)[:, None], np.arange(n_children)
     history = []
     for _ in range(cfg.generations):
-        elite = population[np.argsort(-scores, kind="stable")[:cfg.elitism_count]]
-        picks = rng.integers(0, size, size=(2, n_children, cfg.tournament_size))
+        elite = population[np.argsort(-scores, kind="stable")[:ELITISM_COUNT]]
+        picks = rng.integers(0, size, size=(2, n_children, TOURNAMENT_SIZE))
         won = np.argmax(scores[picks], axis=2)
         parent_a, parent_b = population[picks[pair, child, won]]
-        crossed = rng.random(n_children) < cfg.crossover_rate
+        crossed = rng.random(n_children) < CROSSOVER_RATE
         take_b = (rng.random((n_children, n)) < 0.5) & crossed[:, None]
         children = parent_a ^ ((parent_a ^ parent_b) & take_b)
-        children ^= rng.random((n_children, n)) < mutation_rate
+        children ^= rng.random((n_children, n)) < 1.0 / n
         population = np.concatenate([elite, fix_k(children, k, rng)])
         scores = objective_from_mask(g, population, scale)
         history.append(float(scores.max()))
@@ -175,12 +169,11 @@ def _cached_plan(n: int, k: int, rows: int) -> tuple:
     return tuple(_plan_blocks(n, k, rows))
 
 
-def optimize_exhaustive(g: Graph, k: int, scale: PayoffScale,
-                        cap: int = 2_000_000):
+def optimize_exhaustive(g: Graph, k: int, scale: PayoffScale):
     """Exact optimum by enumeration in lexicographic order; a subset
     replaces the best only when it beats it by more than 1e-12 relative, so
     ties go to the lexicographically smallest ZD set. Refuses when C(V, K)
-    exceeds ``cap``.
+    exceeds ``EXHAUSTIVE_CAP``.
 
     The K-subsets are visited as (K-1)-prefixes T of range(V - 1), each
     extended by every v > max(T). :func:`_extension_scores` scores all
@@ -193,9 +186,9 @@ def optimize_exhaustive(g: Graph, k: int, scale: PayoffScale,
     """
     _check_k(g, k)
     total = math.comb(g.n, k)
-    if total > cap:
+    if total > EXHAUSTIVE_CAP:
         raise ExhaustiveCapError(
-            f"{total} candidate subsets exceed the cap of {cap}"
+            f"{total} candidate subsets exceed the cap of {EXHAUSTIVE_CAP}"
         )
     n = g.n
     adj = adjacency_matrix(g)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from zdlab import alliance, game
 from zdlab.alliance import (ZDParams, _default_outsiders, _phi_interval,
                             _zero_band, alliance_admissible, dominance_check,
                             feasible_l_range, incentive_menu,
@@ -393,6 +394,18 @@ class TestEnforcement:
         assert all(s.owner == i for i, s in enumerate(first, start=3))
         tables = [first[0].table, first[1].probs]
         assert all((t == 0.5).all() and not t.flags.writeable for t in tables)
+
+    def test_shape_caches_bounded_across_r(self):
+        # a shape includes r, so a scan over r must not keep every table
+        for i in range(200):
+            shape = GameShape(4, 3, 3, 10.0 + 0.25 * i)
+            lo, hi = feasible_l_range(0.0, shape)
+            synthesize(ZDParams(0.0, (lo + hi) / 2, shape))
+        for cached in (game.count_payoffs, game.payoff_vectors,
+                       game.unison_payoffs, game.lumped_payoff_vectors,
+                       alliance._strategy_indices,
+                       alliance._default_outsiders):
+            assert cached.cache_info().currsize <= 64, cached.__name__
 
     def test_outsider_count_checked(self):
         result = synthesize(ZDParams(0.0, 4.0, FIG_SHAPE))

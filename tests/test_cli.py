@@ -746,6 +746,39 @@ class TestMain:
         assert err == "error: a mesh needs at least three nodes\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("via", ["topo", "sweep"])
+    def test_topology_edge_limit_exit_code(self, tmp_path, capsys, via):
+        out = tmp_path / "out.txt"
+        if via == "topo":
+            argv = ["topo", "--type", "ring", "--n", str(10**12),
+                    "--out", str(out)]
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(base_config(
+                tmp_path, topology={"type": "ring", "n": 10**12},
+                output=str(out))))
+            argv = ["sweep", "--config", str(cfg_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: a ring on {10**12} nodes expects {10**12} "
+                       "edges, over the limit of 1000000\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("tournament_size", 3), ("crossover_rate", 0.9),
+        ("mutation_rate", None), ("elitism_count", 2),
+    ])
+    def test_fixed_ga_operator_exit_code(self, tmp_path, capsys, key, value):
+        # the GA's operators are constants: setting one is an unknown field
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(
+            tmp_path, ga={"population_size": 20, "generations": 10,
+                          key: value})))
+        assert main(["sweep", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: unknown field(s) in ga: [{key!r}]\n"
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_exhaustive_k_equal_v_exit_code(self, tmp_path, capsys):
         gpath = str(tmp_path / "ring6.txt")
         assert main(["topo", "--type", "ring", "--n", "6",

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from itertools import combinations, permutations
 
 import numpy as np
@@ -198,6 +199,22 @@ class TestGenerate:
             generate("ring", 2)
         with pytest.raises(ValueError):
             generate("mesh", 10, mesh_density=0.0)
+
+    @pytest.mark.parametrize("topology, n, edges", [
+        ("ring", 10**12, 10**12),
+        ("mesh", 2021, 1_000_193),
+        ("star", 1_000_002, 1_000_001),
+    ])
+    def test_edge_limit_refused_before_work(self, topology, n, edges):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"expects {edges} edges, "
+                               "over the limit of 1000000"):
+                generate(topology, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_mesh_needs_three_nodes(self):
         # two nodes cannot meet the min-degree-2 repair
