@@ -15,10 +15,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InfeasibleError
-from .game import (COOPERATE, GameShape, lumped_payoff_vectors,
-                   payoff_vectors, unison_payoffs)
+from .game import (COOPERATE, GameShape, count_payoffs,
+                   lumped_payoff_vectors, payoff_vectors, state_counts)
 from .markov import (FollowerStrategy, LeaderStrategy, build_lumped_matrix,
-                     build_transition_matrix, expected_payoffs,
+                     build_transition_matrix, check_players, expected_payoffs,
                      leader_table_shape, splits_transient, stationary)
 
 
@@ -40,13 +40,23 @@ class ZDParams:
 
 @dataclass(frozen=True)
 class SynthesisResult:
+    """``f_counts[k, b]`` is f = chi (g_A - l) - (g_O - l) on the table of
+    :func:`count_payoffs`; ``f_unison`` is its rows 0 and n_alliance."""
+
     strategy: LeaderStrategy
+    f_counts: np.ndarray
     f_unison: np.ndarray
-    f_vector: np.ndarray
     phi: float
     phi_interval: tuple
     certificate: float
     params: ZDParams
+
+    @functools.cached_property
+    def f_vector(self) -> np.ndarray:
+        """f per state of the full chain, read-only, built on first read."""
+        f = self.f_counts[state_counts(self.params.shape)]
+        f.flags.writeable = False
+        return f
 
 
 def alliance_admissible(shape: GameShape) -> bool:
@@ -87,7 +97,7 @@ def feasible_l_range(chi: float, shape: GameShape):
     return l_min, l_max
 
 
-def _zero_band(chi, l, unison):
+def _zero_band(chi, l, payoffs):
     """Magnitude below which each ``f`` entry counts as 0: 2**-48 S, where
     S = chi g_A + g_O + (1 + chi) |l| sums the magnitudes of the terms of
     f = chi (g_A - l) - (g_O - l) (chi and the payoffs are nonnegative).
@@ -96,7 +106,7 @@ def _zero_band(chi, l, unison):
     (eight operations) 11 u S: at either end of the range the boundary
     outcome, whose real f is 0, stays within the band."""
     scale = 2.0 ** -48  # applied to each term, as S can exceed float64
-    return (chi * (scale * unison.alliance) + scale * unison.outsiders
+    return (chi * (scale * payoffs.alliance) + scale * payoffs.outsiders
             + (1.0 + chi) * (scale * abs(l)))
 
 
@@ -131,9 +141,11 @@ def synthesize(params: ZDParams) -> SynthesisResult:
     when the alliance is split default to 0 (unreachable under coupling).
     A baseline up to 1e-9 beyond an end of ``feasible_l_range`` is
     synthesized at that end; the certificate still measures the relation
-    at the baseline asked for.
+    at the baseline asked for. A game over ``MAX_PLAYERS`` players is
+    refused first, before any work that grows with N.
     """
     shape = params.shape
+    check_players(shape)
     chi, l = params.chi, params.l
     l_min, l_max = feasible_l_range(chi, shape)
     if not l_min - 1e-9 <= l <= l_max + 1e-9:
@@ -142,10 +154,13 @@ def synthesize(params: ZDParams) -> SynthesisResult:
         )
     l = min(max(l, l_min), l_max)
 
-    unison = unison_payoffs(shape)
-    f = chi * (unison.alliance - l) - (unison.outsiders - l)
-    f.flags.writeable = False
-    pos_hi, neg_lo, violator = _phi_interval(f, _zero_band(chi, l, unison))
+    counts = count_payoffs(shape)
+    f_counts = chi * (counts.alliance - l) - (counts.outsiders - l)
+    f_counts.flags.writeable = False
+    unison = slice(None, None, shape.n_alliance)  # rows 0 and n_alliance
+    f = f_counts[unison]
+    pos_hi, neg_lo, violator = _phi_interval(
+        f, _zero_band(chi, l, counts)[unison])
     if pos_hi <= 0.0 and neg_lo >= 0.0:
         where = f"outcome {violator}" if violator else "conflicting outcomes"
         raise InfeasibleError(f"no nonzero scaling satisfies {where}")
@@ -161,14 +176,10 @@ def synthesize(params: ZDParams) -> SynthesisResult:
         phi = (interval[0] + interval[1]) / 2.0
 
     strategy = _alliance_strategy(shape, f, phi)
-    result = SynthesisResult(strategy, f, None, phi, interval, math.nan,
+    result = SynthesisResult(strategy, f_counts, f, phi, interval, math.nan,
                              params)
-    # the certificate's chain refuses an oversized game before the 2^N
-    # payoff vectors are built
     certificate = verify_enforcement(result, _default_outsiders(shape))
-    payoffs = payoff_vectors(shape)
-    f_vector = chi * (payoffs.alliance - l) - (payoffs.outsiders - l)
-    return replace(result, f_vector=f_vector, certificate=certificate)
+    return replace(result, certificate=certificate)
 
 
 @functools.lru_cache(maxsize=64)

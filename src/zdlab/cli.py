@@ -131,12 +131,8 @@ def load_config(doc: dict) -> ExperimentConfig:
         scale = PayoffScale(float(_typed(scale_doc, "a", _NUM, "scale", 2.0)),
                             _typed(scale_doc, "k", _INT, "scale", 1),
                             float(_typed(scale_doc, "b", _NUM, "scale", 3.0)))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # an int past float64
         raise ConfigError(str(exc)) from exc
-    if scale(2) <= 1.0:
-        raise ConfigError(
-            "payoff scale must exceed 1 for every reachable game size"
-        )
 
     k_doc = _typed(doc, "k_range", _OBJ, "config")
     _require_keys(k_doc, ("min", "max", "step"), "k_range")
@@ -169,8 +165,7 @@ def load_config(doc: dict) -> ExperimentConfig:
     if repetitions < 1:
         raise ConfigError("repetitions must be positive")
     seed = _typed(doc, "seed", _INT, "config", 0)
-    if seed < 0:
-        raise ConfigError(f"config field 'seed' must be non-negative: {seed}")
+    _check_seed("config field 'seed'", seed)
 
     return ExperimentConfig(topology=topology, scale=scale, k_min=k_min,
                             k_max=k_max, k_step=k_step, ga=ga,
@@ -180,15 +175,16 @@ def load_config(doc: dict) -> ExperimentConfig:
                             output=_typed(doc, "output", _STR, "config"))
 
 
-def load_config_file(path) -> ExperimentConfig:
+def _read_json_object(path, what) -> dict:
+    """The JSON object in file ``path``; ``what`` names the file in errors."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: not JSON text
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    return load_config(doc)
+        raise ConfigError(f"{what} root must be a JSON object")
+    return doc
 
 
 def build_graph(spec: TopologySpec) -> graphs.Graph:
@@ -314,14 +310,7 @@ def _leader_table(table, shape, where):
 
 def _outsiders_from_args(shape, args):
     if getattr(args, "outsider_file", None):
-        try:
-            with open(args.outsider_file) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(
-                f"cannot read outsider file {args.outsider_file}: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError("outsider file root must be a JSON object")
+        doc = _read_json_object(args.outsider_file, "outsider file")
         _require_keys(doc, ("leaders", "followers"), "outsider file")
         leader_docs = _typed(doc, "leaders", _LIST, "outsider file", [])
         follower_docs = _typed(doc, "followers", _LIST, "outsider file", [])
@@ -442,7 +431,7 @@ def cmd_opt(args):
 
 
 def cmd_sweep(args):
-    cfg = load_config_file(args.config)
+    cfg = load_config(_read_json_object(args.config, "config"))
     rows = run_sweep(cfg)
     print(f"wrote {len(rows)} rows -> {cfg.output}")
     return 0

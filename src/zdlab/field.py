@@ -117,7 +117,12 @@ def cooperator_ratio(dep: Deployment, mode: str = "expected",
 def _coop_table(scale: PayoffScale, max_degree: int):
     """A regular node's ``(delta, q)`` from :func:`node_delta` and
     :func:`coop_probability`, each indexed by ``[has_regular_neighbors,
-    zd_neighbors]`` with shape (2, max_degree + 1)."""
+    zd_neighbors]`` with shape (2, max_degree + 1). Raises ValueError when
+    r overflows float64 in the largest game, of max_degree + 1 players."""
+    # r(n) grows with n, so the largest game bounds every other one
+    if not math.isfinite(scale(max_degree + 1)):
+        raise ValueError(f"payoff scale {scale} overflows float64 in a "
+                         f"{max_degree + 1}-player game")
     delta = np.array([[node_delta(m, bool(h), scale)
                        for m in range(max_degree + 1)] for h in (0, 1)])
     q = np.array([[coop_probability(d) for d in row] for row in delta])

@@ -27,10 +27,15 @@ class PayoffScale:
     b: float = 3.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError("coefficients a and b must be finite")
         if self.a < 0:
             raise ValueError("coefficient a must be nonnegative")
         if self.k not in (1, 2):
             raise ValueError("exponent k must be 1 or 2")
+        if self(2) <= 1.0:  # r grows with n: r(2) > 1 covers every game
+            raise ValueError(
+                "payoff scale must exceed 1 for every reachable game size")
 
     def __call__(self, n):
         return self.a * n ** self.k + self.b
@@ -148,14 +153,18 @@ def _gather(shape, k, b):
     return PayoffVectors(*vectors)
 
 
+def state_counts(shape: GameShape):
+    """Each state's indices ``(k, b)`` into :func:`count_payoffs`."""
+    bits = state_bits(shape.n_players)
+    return bits[:, :shape.n_alliance].sum(axis=1), bits.sum(axis=1)
+
+
 @functools.lru_cache(maxsize=64)
 def payoff_vectors(shape: GameShape) -> PayoffVectors:
     """Average payoffs of the alliance group and the outsider group per
-    state: the :func:`count_payoffs` entry of the state's cooperating
-    alliance members and cooperators in all, split states included."""
-    bits = state_bits(shape.n_players)
-    return _gather(shape, bits[:, :shape.n_alliance].sum(axis=1),
-                   bits.sum(axis=1))
+    state, split states included: the :func:`count_payoffs` entries at
+    :func:`state_counts`."""
+    return _gather(shape, *state_counts(shape))
 
 
 @functools.lru_cache(maxsize=64)

@@ -14,6 +14,9 @@ from .errors import TraceParseError
 TOPOLOGIES = ("star", "ring", "tree", "mesh")
 DEFAULT_MESH_DENSITY = 0.49
 MAX_GENERATED_EDGES = 1_000_000
+# node pairs a mesh draws one number for (about 2.5 s at 73 ns a pair);
+# the default density reaches MAX_GENERATED_EDGES well before it
+MAX_MESH_PAIRS = 1 << 25
 # array entries per betweenness source block (8 MB of float64)
 BETWEENNESS_BLOCK = 1 << 20
 
@@ -119,7 +122,8 @@ def _read_int(token, what, where):
 def generate(topology: str, n: int, seed: int = 0,
              mesh_density: float | None = None) -> Graph:
     """Deterministic topology generators used in the experiments. A graph
-    expected to hold over ``MAX_GENERATED_EDGES`` edges is refused first."""
+    expected to hold over ``MAX_GENERATED_EDGES`` edges, or a mesh over
+    ``MAX_MESH_PAIRS`` node pairs, is refused first."""
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}")
     if topology in ("ring", "mesh"):
@@ -132,11 +136,15 @@ def generate(topology: str, n: int, seed: int = 0,
     if topology == "mesh" and not 0.0 < density <= 1.0:
         raise ValueError("mesh density must lie in (0, 1]")
     # exact, where a float product would overflow for a huge n
-    expected = (n * (n - 1) // 2 * Fraction(density) if topology == "mesh"
+    pairs = n * (n - 1) // 2
+    expected = (pairs * Fraction(density) if topology == "mesh"
                 else n if topology == "ring" else n - 1)
     if expected > MAX_GENERATED_EDGES:
         raise ValueError(f"a {topology} on {n} nodes expects {round(expected)} "
                          f"edges, over the limit of {MAX_GENERATED_EDGES}")
+    if topology == "mesh" and pairs > MAX_MESH_PAIRS:
+        raise ValueError(f"a mesh on {n} nodes draws {pairs} node pairs, "
+                         f"over the limit of {MAX_MESH_PAIRS}")
 
     if topology == "star":
         edges = [(0, leaf) for leaf in range(1, n)]

@@ -99,7 +99,6 @@ class FollowerStrategy:
 class TransitionMatrix:
     matrix: np.ndarray
     shape: GameShape
-    lumped: bool = False
 
 
 @dataclass(frozen=True)
@@ -115,9 +114,14 @@ class StationaryVector:
     iterations: int
 
 
-def _check_strategies(shape, leaders, followers, n_leaders):
+def check_players(shape: GameShape):
+    """Refuse a game of over ``MAX_PLAYERS`` players."""
     if shape.n_players > MAX_PLAYERS:
         raise ValueError(f"state space capped at {MAX_PLAYERS} players")
+
+
+def _check_strategies(shape, leaders, followers, n_leaders):
+    check_players(shape)
     if len(leaders) != n_leaders or len(followers) != shape.n_followers:
         raise ValueError("need exactly one strategy per player")
     dims = leader_table_shape(shape)
@@ -160,7 +164,7 @@ def build_lumped_matrix(shape: GameShape, leaders,
     _check_strategies(shape, leaders, followers, n_movers)
     weights = (shape.n_alliance,) + (1,) * (n_movers - 1)
     matrix = _chain(weights, leaders, followers, 0)
-    return TransitionMatrix(matrix, shape, lumped=True)
+    return TransitionMatrix(matrix, shape)
 
 
 def _read_only(array):
@@ -345,20 +349,12 @@ def _dense_stationary(m):
     return sol / total if 0.0 < total < np.inf else None
 
 
-@functools.lru_cache(maxsize=None)
-def _pivot_cooperates(n_players: int, pivot_leader: int) -> np.ndarray:
-    """Read-only mask of the states in which the pivot leader cooperated."""
-    coop = state_bits(n_players)[:, pivot_leader] == 1
-    coop.flags.writeable = False
-    return coop
-
-
 def _zd_matrices(tm: TransitionMatrix, columns, pivot_leader: int):
     """The matrices of :func:`zd_determinant`, one per row of ``columns``
     (a (B, n_states) stack of f vectors), as a (B, n_states, n_states)
     array."""
     shape = tm.shape
-    if tm.lumped:
+    if len(tm.matrix) != shape.n_states:
         raise ValueError("determinant evaluation needs the full chain")
     if shape.n_players > MAX_DETERMINANT_PLAYERS:
         raise ValueError(
@@ -369,11 +365,11 @@ def _zd_matrices(tm: TransitionMatrix, columns, pivot_leader: int):
     if columns.shape[1:] != (shape.n_states,):
         raise ValueError("payoff vector length must match the state space")
 
-    coop = _pivot_cooperates(shape.n_players, pivot_leader)
+    coop = state_bits(shape.n_players)[:, pivot_leader]
     a = np.repeat(tm.matrix[None], len(columns), axis=0)
     diagonal = np.arange(shape.n_states)
     a[:, diagonal, diagonal] -= 1.0
-    a[:, :, 1 << pivot_leader] = tm.matrix[:, coop].sum(axis=1) - coop
+    a[:, :, 1 << pivot_leader] = tm.matrix[:, coop == 1].sum(axis=1) - coop
     a[:, :, 0] = columns
     return a
 

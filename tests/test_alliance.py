@@ -9,14 +9,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zdlab import alliance, game
+from zdlab import alliance, game, markov
 from zdlab.alliance import (ZDParams, _default_outsiders, _phi_interval,
                             _zero_band, alliance_admissible, dominance_check,
                             feasible_l_range, incentive_menu,
                             random_outsiders, stationary_payoffs, synthesize,
                             verify_enforcement)
 from zdlab.errors import InfeasibleError
-from zdlab.game import GameShape, payoff_vectors, unison_payoffs
+from zdlab.game import GameShape, payoff_vectors, state_bits, unison_payoffs
 from zdlab.markov import (LeaderStrategy, build_transition_matrix,
                           expected_payoffs, splits_transient, stationary,
                           zd_determinant)
@@ -229,6 +229,49 @@ class TestSynthesis:
                        0b000: (0, 0), 0b100: (0, 1)}
         for state, key in state_cases.items():
             assert result.f_vector[state] == pytest.approx(result.f_unison[key])
+
+    def test_f_vector_built_only_when_read(self, monkeypatch):
+        # split states of this game are transient, so the certificate runs
+        # on the lumped chain: nothing in synthesize needs the 2^N states
+        shape, chi, l = GameShape(6, 5, 4, 15.0), 0.3, 9.0
+        sizes = []
+
+        def spy_bits(n_players):
+            sizes.append(n_players)
+            return state_bits(n_players)
+
+        def no_vectors(shape):
+            raise AssertionError("payoff_vectors called")
+
+        monkeypatch.setattr(game, "state_bits", spy_bits)
+        monkeypatch.setattr(markov, "state_bits", spy_bits)
+        monkeypatch.setattr(game, "payoff_vectors", no_vectors)
+        monkeypatch.setattr(alliance, "payoff_vectors", no_vectors)
+        result = synthesize(ZDParams(chi, l, shape))
+        assert shape.n_players not in sizes
+        before = len(sizes)
+        f = result.f_vector
+        assert sizes[before:] == [shape.n_players]
+        assert result.f_vector is f and not f.flags.writeable
+        monkeypatch.undo()
+        pv = payoff_vectors(shape)
+        assert f.tobytes() == (chi * (pv.alliance - l)
+                               - (pv.outsiders - l)).tobytes()
+
+    def test_f_tables_share_one_count_table(self):
+        for shape in SMALL_SHAPES:
+            lo, hi = feasible_l_range(0.4, shape)
+            for l in (lo, (lo + hi) / 2, hi):
+                try:
+                    result = synthesize(ZDParams(0.4, l, shape))
+                except InfeasibleError:
+                    continue
+                counts = result.f_counts
+                assert counts.shape == (shape.n_alliance + 1,
+                                        shape.n_players + 1)
+                assert not counts.flags.writeable
+                assert result.f_unison.tobytes() == (
+                    counts[[0, shape.n_alliance]].tobytes())
 
     def test_f_unison_is_read_only_table(self):
         shape = GameShape(5, 4, 3, 13.0)

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -11,11 +13,15 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zdlab
 import zdlab.alliance
 import zdlab.cli
 import zdlab.graphs
+import zdlab.markov
+import zdlab.optimize
 from zdlab.alliance import feasible_l_range
 from zdlab.cli import (CSV_VERSION, SWEEP_COLUMNS, load_config, main,
                        run_sweep, write_sweep_csv)
@@ -505,13 +511,15 @@ class TestMain:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     # l is the midpoint of feasible_l_range(0.0, ...); the refusal comes
-    # before any 2^N table is built
+    # before any table that grows with N, such as the (N, N + 1) payoffs
+    # by cooperator counts, is built
     @pytest.mark.parametrize("command, players, r, l", [
         ("synth", 11, 25, 5), ("verify", 11, 25, 5),
         ("synth", 20, 43, 22), ("verify", 20, 43, 22),
         ("synth", 64, 131, 66), ("verify", 64, 131, 66),
+        ("synth", 2000, 4003, 2002), ("verify", 2000, 4003, 2002),
     ], ids=["synth", "verify", "synth-20", "verify-20", "synth-64",
-            "verify-64"])
+            "verify-64", "synth-2000", "verify-2000"])
     def test_player_cap_exit_code(self, capsys, command, players, r, l):
         tracemalloc.start()
         try:
@@ -525,6 +533,13 @@ class TestMain:
         err = capsys.readouterr().err
         assert err == "error: state space capped at 10 players\n"
         assert peak < 4 * 2**20
+
+    def test_player_cap_precedes_feasibility(self, capsys):
+        # this game is infeasible too, but its size is refused first
+        assert main(["synth", "--players", "11", "--alliance", "1",
+                     "--r", "2", "--l", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: state space capped at 10 players\n")
 
     def test_exhaustive_cap_exit_code(self, tmp_path, capsys):
         gpath = str(tmp_path / "mesh80.txt")
@@ -562,6 +577,8 @@ class TestMain:
         # the Monte Carlo draw takes a 64-bit round count
         {"ratio": {"mode": "monte_carlo", "rounds": 10**21}},
         {"ratio": {"mode": "monte_carlo", "rounds": 2**63}},
+        # an integer past float64
+        {"scale": {"a": 10**400}},
     ])
     def test_mistyped_config_exit_code(self, tmp_path, capsys, patch):
         cfg_path = tmp_path / "cfg.json"
@@ -790,9 +807,252 @@ class TestMain:
         assert "1 <= K < V" in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("via", ["field", "opt", "sweep"])
+    def test_scale_without_dilemma_exit_code(self, tmp_path, capsys, via):
+        # r(2) = 0.5: the flags refuse what a sweep config refuses
+        gpath = str(tmp_path / "ring6.txt")
+        Graph(6, [(u, (u + 1) % 6) for u in range(6)]).write(gpath)
+        scale = {"a": 0, "k": 1, "b": 0.5}
+        if via == "sweep":
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(base_config(tmp_path,
+                                                       scale=scale)))
+            argv, prefix = ["sweep", "--config", str(cfg_path)], "config error"
+        else:
+            argv = [via, "--graph", gpath, *{"field": ["--zd", "0"],
+                                             "opt": ["--K", "2"]}[via],
+                    *(f"--scale-{key}={value}"
+                      for key, value in scale.items())]
+            prefix = "error"
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"{prefix}: payoff scale must exceed 1 for every reachable game "
+            "size\n")
+
+    @pytest.mark.parametrize("via", ["field", "opt", "exhaustive", "sweep"])
+    def test_overflowing_scale_exit_code(self, tmp_path, capsys, via):
+        # r(3) = 9e308 overflows: the ring's nodes play 3-player games
+        gpath = str(tmp_path / "ring6.txt")
+        Graph(6, [(u, (u + 1) % 6) for u in range(6)]).write(gpath)
+        scale = ["--scale-a", "1e308", "--scale-k", "2"]
+        argv = {
+            "field": ["field", "--graph", gpath, "--zd", "0", *scale],
+            "opt": ["opt", "--graph", gpath, "--K", "2", *scale],
+            "exhaustive": ["opt", "--graph", gpath, "--K", "2",
+                           "--exhaustive", *scale],
+        }.get(via)
+        if via == "sweep":
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(base_config(
+                tmp_path, topology={"type": "ring", "n": 6},
+                scale={"a": 1e308, "k": 2})))
+            argv = ["sweep", "--config", str(cfg_path)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv)
+        assert rc == 2 and not caught
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: payoff scale PayoffScale(a=1e+308, k=2, b=3.0) overflows "
+            "float64 in a 3-player game\n")
+        assert "nan" not in captured.out
+
+    @pytest.mark.parametrize("via", ["topo", "sweep"])
+    def test_mesh_pair_limit_exit_code(self, tmp_path, capsys, via):
+        out = tmp_path / "out.txt"
+        topology = {"type": "mesh", "n": 100_000, "density": 1e-4}
+        if via == "topo":
+            argv = ["topo", "--type", "mesh", "--n", "100000",
+                    "--density", "0.0001", "--out", str(out)]
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(base_config(
+                tmp_path, topology=topology, output=str(out))))
+            argv = ["sweep", "--config", str(cfg_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: a mesh on 100000 nodes draws 4999950000 node pairs, "
+            "over the limit of 33554432\n")
+        assert not out.exists()
+
     def test_sweep_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_config(tmp_path)))
         assert main(["sweep", "--config", str(cfg_path)]) == 0
         assert "wrote 4 rows" in capsys.readouterr().out
         assert (tmp_path / "sweep.csv").exists()
+
+
+# Option values for the property test over `main`: each option has usual
+# values and further ones: small sizes, each cap + 1, the float64
+# extremes, huge integers and "". An example draws usual values only, or
+# one further value, or any values (usual ones three times in four) and
+# then drops an option one time in ten. Sizes stay small unless the value
+# must be refused before any work: a population or a sweep graph is never
+# drawn large, since nothing refuses it.
+SMALL = ["0", "-1", "1", "2", "3"]
+EXTREME = ["", "1e308", "-1e308", str(10**30), str(-10**30), str(10**400)]
+SIZE = SMALL + EXTREME
+FLOAT = SIZE + ["0.3", "9"]
+FILES = ["{graph}", "{trace}", "{config}", "{outsiders}", "{missing}", ""]
+SCALE_OPTIONS = {"--scale-a": (["2", "0"], FLOAT + ["1e307"]),
+                 "--scale-k": (["1", "2"], SIZE),
+                 "--scale-b": (["3"], FLOAT)}
+SHAPE_OPTIONS = {
+    "--players": (["3", "4"], SIZE + [str(zdlab.markov.MAX_PLAYERS + 1)]),
+    "--alliance": (["2", "3"], SIZE), "--leaders": (["3"], SIZE),
+    "--r": (["9", "23"], FLOAT), "--chi": (["0", "0.3"], FLOAT),
+    "--l": (["5", "9"], FLOAT), "--phi": (["0.1", "-0.1"], FLOAT),
+}
+# per subcommand: option -> (usual values, further values), or None for a
+# flag. A tree or star of MAX_GENERATED_EDGES + 2 nodes has one edge too
+# many; 8,193 nodes make the fewest pairs over MAX_MESH_PAIRS.
+OPTIONS = {
+    "topo": {"--type": (list(zdlab.graphs.TOPOLOGIES), [""]),
+             "--n": (["3", "6", "11"], SIZE + [
+                 str(zdlab.graphs.MAX_GENERATED_EDGES + 2), "8193"]),
+             "--seed": (["0", "1"], SIZE),
+             "--density": (["0.5", "0.0001"], FLOAT),
+             "--out": (["{out}"], [""])},
+    "ingest": {"--trace": (["{trace}"], FILES),
+               "--min-contacts": (["1", "2"], SIZE),
+               "--out": (["{out}"], [""])},
+    "metrics": {"--graph": (["{graph}"], FILES), "--per-node": None},
+    "synth": SHAPE_OPTIONS,
+    "verify": {**SHAPE_OPTIONS, "--outsider-seed": (["0", "3"], SIZE),
+               "--outsider-file": (["{outsiders}"], FILES)},
+    "field": {"--graph": (["{graph}"], FILES),
+              "--zd": (["0", "0,1", ""], ["-1", "5,1", "99", str(10**30),
+                                          "1e308", "a"]),
+              **SCALE_OPTIONS},
+    "opt": {"--graph": (["{graph}"], FILES),
+            "--K": (["1", "2"], SIZE + [
+                str(zdlab.optimize.EXHAUSTIVE_CAP + 1)]),
+            "--seed": (["0"], SIZE), "--population": (["2", "3"], SMALL),
+            "--generations": (["1", "2"], SMALL), "--exhaustive": None,
+            **SCALE_OPTIONS},
+    "sweep": {"--config": (["{config}"], FILES)},
+}
+# sweep config fields, as above; the sweep graph and the GA stay small
+CONFIG_VALUES = {
+    ("topology", "type"): (["ring", "mesh", "tree"], ["blob", 3]),
+    ("topology", "n"): ([6], [3, 0, -1, 10**30,
+                              zdlab.graphs.MAX_GENERATED_EDGES + 2, ""]),
+    ("topology", "seed"): ([0], [-1, 10**30]),
+    ("topology", "density"): ([0.5, 1e-4], [None, 0, 2, 1e308, ""]),
+    ("scale", "a"): ([2], [0, -1, 1e307, 1e308, -1e308, 10**400, ""]),
+    ("scale", "k"): ([1, 2], [0, 3, 10**30]),
+    ("scale", "b"): ([3], [0.5, 0, -1, 1e308, 10**400]),
+    ("k_range", "min"): ([1], [2, 0, -1, 10**30]),
+    ("k_range", "max"): ([2], [1, 0, 10**30, ""]),
+    ("ga", "population_size"): ([2, 3], [1, 0, -1, ""]),
+    ("ga", "generations"): ([1, 2], [0, -1, 1.5]),
+    ("ratio", "mode"): (["expected", "monte_carlo"], ["", None]),
+    ("ratio", "rounds"): ([50], [1, 0, -1, 2**63 - 1, 2**63, 1e308]),
+    ("repetitions",): ([1, 2], [0, -1, ""]),
+    ("seed",): ([0, 7], [-1, 10**30, 1e308, ""]),
+    ("output",): (["{out}"], [""]),
+}
+
+
+def _draw_value(data, label, values, mode):
+    """A value of ``values`` for ``mode``: "usual", "further" or "any"."""
+    usual, further = values
+    if mode == "further":
+        return data.draw(st.sampled_from(further), label)
+    if mode == "usual" or data.draw(st.integers(0, 3), label + " kind"):
+        return data.draw(st.sampled_from(usual), label)
+    return data.draw(st.sampled_from(usual + further), label)
+
+
+def _mode(field, fault):
+    return "any" if fault is None else "further" if field == fault else "usual"
+
+
+@pytest.fixture(scope="module")
+def property_files(tmp_path_factory):
+    """Input files for the property test, and paths it may write."""
+    root = tmp_path_factory.mktemp("main-property")
+    paths = {name: str(root / name) for name in
+             ("graph", "trace", "config", "outsiders", "missing", "out")}
+    Graph(6, [(u, (u + 1) % 6) for u in range(6)] + [(0, 3)]).write(
+        paths["graph"])
+    Path(paths["trace"]).write_text("a b\nb c 1 2\nc a\n")
+    # one outsider, a follower of the two leaders of a 3-player game
+    Path(paths["outsiders"]).write_text(json.dumps(
+        {"leaders": [], "followers": [[0.5, 1.0, 0.0]]}))
+    return paths
+
+
+def _draw_config(data, files, fault):
+    doc = {}
+    for keys, values in CONFIG_VALUES.items():
+        label = ".".join(keys)
+        if fault is None and data.draw(st.integers(0, 9), label) == 0:
+            continue  # a missing field: its default, or a refusal
+        value = _draw_value(data, label, values, _mode(keys, fault))
+        if isinstance(value, str):
+            value = value.format(**files)
+        *outer, key = keys
+        target = doc
+        for name in outer:
+            target = target.setdefault(name, {})
+        target[key] = value
+    return doc
+
+
+class TestMainProperty:
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_documented_exit_and_one_line(self, command, data,
+                                          property_files):
+        """Any command line ends in exit 0, 2, 3 or 4 with at most one line
+        on stderr and no traceback, in under 64 MB; argparse's own errors
+        keep its usage block and end in one ``error:`` line."""
+        options = OPTIONS[command]
+        # the field that takes a further value, "" for none, None for any
+        fields = [option for option, values in options.items() if values]
+        if command == "sweep":
+            fields += list(CONFIG_VALUES)
+        fault = data.draw(st.sampled_from([None, ""] + fields), "fault")
+        argv = [command]
+        for option, values in options.items():
+            # drop one option in ten, required ones too
+            if data.draw(st.integers(0, 9), option) == 0 and (
+                    values is None or fault is None):
+                continue
+            if values is None:
+                argv.append(option)
+            else:
+                value = _draw_value(data, option, values, _mode(option, fault))
+                argv.append(f"{option}={value.format(**property_files)}")
+        if command == "sweep":
+            Path(property_files["config"]).write_text(json.dumps(
+                _draw_config(data, property_files, fault)))
+
+        out, err = io.StringIO(), io.StringIO()
+        parse_error = False
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    rc = main(argv)
+                except SystemExit as exc:  # argparse refused the argv
+                    rc, parse_error = exc.code, True
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+        text = err.getvalue()
+        lines = text.splitlines()
+        assert rc in (0, 2, 3, 4), (argv, text)
+        assert "Traceback" not in text, argv
+        assert peak < 64 * 2**20, argv
+        if parse_error:
+            assert rc == 2 and lines[0].startswith("usage: zdlab"), argv
+            assert lines[-1].startswith("zdlab") and ": error: " in lines[-1]
+            assert sum("error:" in line for line in lines) == 1, argv
+        else:
+            assert len(lines) == (rc != 0), (argv, text)

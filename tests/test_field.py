@@ -132,6 +132,23 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             Deployment(generate("ring", 6), frozenset({6}), SCALE)
 
+    def test_overflowing_scale_refused(self):
+        # r(2) = 8e307 is finite and r(3) is not: a graph of degree 1 plays
+        # only 2-player games, a ring 3-player ones
+        scale = PayoffScale(2e307, 2, 3.0)
+        pair = Graph(2, [(0, 1)])
+        assert evaluate(Deployment(pair, {0}, scale)).objective == (
+            coop_probability(1.0))
+        ring = generate("ring", 6)
+        message = (r"payoff scale PayoffScale\(a=2e\+307, k=2, b=3.0\) "
+                   "overflows float64 in a 3-player game")
+        for call in (lambda: evaluate(Deployment(ring, {0}, scale)),
+                     lambda: cooperator_ratio(Deployment(ring, {0}, scale)),
+                     lambda: objective_from_mask(
+                         ring, np.eye(6, dtype=bool), scale)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
 
 class TestRatios:
     def test_expected_counts_zd_as_cooperators(self):

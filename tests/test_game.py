@@ -100,6 +100,26 @@ class TestPayoffScale:
         with pytest.raises(ValueError):
             PayoffScale(2, 3, 3)
 
+    @pytest.mark.parametrize("a, k, b", [
+        (math.nan, 1, 3.0), (math.inf, 2, 3.0), (2.0, 1, -math.inf),
+        (2.0, 1, math.nan),
+    ])
+    def test_rejects_non_finite_coefficients(self, a, k, b):
+        with pytest.raises(ValueError, match="must be finite"):
+            PayoffScale(a, k, b)
+
+    @pytest.mark.parametrize("a, k, b", [
+        (0.0, 1, 0.5), (0.0, 2, 1.0), (0.25, 1, 0.5), (0.0, 1, -3.0),
+    ])
+    def test_rejects_scale_without_dilemma(self, a, k, b):
+        # r(2) <= 1; r(n) grows with n, so r(2) > 1 covers every game
+        with pytest.raises(ValueError, match="must exceed 1"):
+            PayoffScale(a, k, b)
+
+    def test_smallest_dilemma_scale_accepted(self):
+        assert PayoffScale(0.0, 1, math.nextafter(1.0, 2.0))(2) > 1.0
+        assert PayoffScale(0.125, 2, 0.5 + 2**-52)(2) > 1.0
+
 
 class TestGameShape:
     def test_needs_outsider(self):

@@ -216,6 +216,28 @@ class TestGenerate:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_mesh_pair_limit_refused_before_drawing(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("random.Random constructed")
+
+        monkeypatch.setattr(graphs.random, "Random", no_draws)
+        # about 5e5 expected edges, under the edge limit, but 5e9 pairs
+        with pytest.raises(ValueError, match=f"draws {100_000 * 99_999 // 2} "
+                           "node pairs, over the limit of 33554432"):
+            generate("mesh", 100_000, mesh_density=1e-4)
+        with pytest.raises(ValueError, match="draws 33558528 node pairs"):
+            generate("mesh", 8193, mesh_density=1e-4)
+        # 8,192 nodes make 33,550,336 pairs: past both checks, to the draws
+        with pytest.raises(AssertionError, match="random.Random constructed"):
+            generate("mesh", 8192, mesh_density=1e-4)
+
+    def test_mesh_pair_limit_admits_default_density(self):
+        # the largest mesh the edge limit admits at the default density
+        n = max(n for n in range(3, 3000)
+                if n * (n - 1) // 2 * graphs.DEFAULT_MESH_DENSITY
+                <= graphs.MAX_GENERATED_EDGES)
+        assert n * (n - 1) // 2 <= graphs.MAX_MESH_PAIRS
+
     def test_mesh_needs_three_nodes(self):
         # two nodes cannot meet the min-degree-2 repair
         with pytest.raises(ValueError, match="a mesh needs at least three nodes"):

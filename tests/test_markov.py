@@ -201,7 +201,7 @@ class TestLumpedChain:
         full = build_transition_matrix(shape, [movers[0]] * (na - 1) + movers,
                                        followers, coupling=True).matrix
         lumped = build_lumped_matrix(shape, movers, followers)
-        assert lumped.lumped and lumped.matrix.shape == (2 ** (n - na + 1),) * 2
+        assert lumped.matrix.shape == (2 ** (n - na + 1),) * 2
         # lumped state: bit 0 the alliance's action, then the outsiders
         unison = [(s & 1) * ((1 << na) - 1) | (s >> 1) << na
                   for s in range(2 ** (n - na + 1))]
