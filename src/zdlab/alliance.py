@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InfeasibleError
-from .game import (COOPERATE, GameShape, count_payoffs,
-                   lumped_payoff_vectors, payoff_vectors, state_counts)
+from .game import (COOPERATE, GameShape, count_cells, count_payoffs,
+                   lumped_payoff_vectors, payoff_vectors)
 from .markov import (FollowerStrategy, LeaderStrategy, build_lumped_matrix,
                      build_transition_matrix, check_players, expected_payoffs,
                      leader_table_shape, splits_transient, stationary)
@@ -54,7 +54,8 @@ class SynthesisResult:
     @functools.cached_property
     def f_vector(self) -> np.ndarray:
         """f per state of the full chain, read-only, built on first read."""
-        f = self.f_counts[state_counts(self.params.shape)]
+        shape = self.params.shape
+        f = self.f_counts[count_cells(shape.n_players, shape.n_alliance, 1)]
         f.flags.writeable = False
         return f
 
@@ -258,7 +259,7 @@ def stationary_payoffs(result: SynthesisResult, outsider_strategies):
         leaders = [result.strategy] * shape.n_alliance + out_leaders
         tm = build_transition_matrix(shape, leaders, followers, coupling=True)
         payoffs = payoff_vectors(shape)
-    return expected_payoffs(shape, stationary(tm), payoffs)
+    return expected_payoffs(stationary(tm), payoffs)
 
 
 def verify_enforcement(result: SynthesisResult, outsider_strategies) -> float:

@@ -204,6 +204,7 @@ def run_sweep(cfg: ExperimentConfig):
     g = build_graph(cfg.topology)
     if cfg.k_max >= g.n:
         raise ConfigError(f"k_max {cfg.k_max} must be below node count {g.n}")
+    cfg.ga.check_size(g)
     # an unwritable output fails here, not after every GA run; "a" leaves
     # an existing file as it is until write_sweep_csv replaces it
     with open(cfg.output, "a"):

@@ -117,8 +117,8 @@ def is_social_dilemma(r: float) -> bool:
 @dataclass(frozen=True)
 class PayoffVectors:
     """Average alliance and outsider payoffs: by cooperator counts
-    (:func:`count_payoffs`), or gathered from them by state, by unison
-    outcome or by alliance-lumped state."""
+    (:func:`count_payoffs`), or gathered from them per state of a chain
+    (:func:`count_cells`)."""
 
     alliance: np.ndarray
     outsiders: np.ndarray
@@ -144,6 +144,19 @@ def count_payoffs(shape: GameShape) -> PayoffVectors:
     return PayoffVectors(*tables)
 
 
+@functools.lru_cache(maxsize=None)
+def count_cells(n_bits: int, n_members: int, weight: int):
+    """Read-only cells ``(k, b)`` in :func:`count_payoffs` of the states of
+    ``n_bits`` bits whose low ``n_members`` bits count ``weight`` members
+    each: ``(N, n_alliance, 1)`` for the full chain and ``(N - n_alliance +
+    1, 1, n_alliance)`` for the alliance-lumped chain."""
+    bits = state_bits(n_bits)
+    k = weight * bits[:, :n_members].sum(axis=1)
+    b = k + bits[:, n_members:].sum(axis=1)
+    k.flags.writeable = b.flags.writeable = False
+    return k, b
+
+
 def _gather(shape, k, b):
     """Read-only entries [k, b] of :func:`count_payoffs`."""
     table = count_payoffs(shape)
@@ -153,34 +166,17 @@ def _gather(shape, k, b):
     return PayoffVectors(*vectors)
 
 
-def state_counts(shape: GameShape):
-    """Each state's indices ``(k, b)`` into :func:`count_payoffs`."""
-    bits = state_bits(shape.n_players)
-    return bits[:, :shape.n_alliance].sum(axis=1), bits.sum(axis=1)
-
-
 @functools.lru_cache(maxsize=64)
 def payoff_vectors(shape: GameShape) -> PayoffVectors:
     """Average payoffs of the alliance group and the outsider group per
-    state, split states included: the :func:`count_payoffs` entries at
-    :func:`state_counts`."""
-    return _gather(shape, *state_counts(shape))
-
-
-@functools.lru_cache(maxsize=64)
-def unison_payoffs(shape: GameShape) -> PayoffVectors:
-    """Average payoffs of the unison outcomes: read-only (2, N + 1) arrays
-    indexed [s, b] by the alliance's common action s and the total
-    cooperator count b, NaN where b cannot occur with s; rows 0 and
-    n_alliance of :func:`count_payoffs`."""
-    return _gather(shape, [0, shape.n_alliance], slice(None))
+    state of the full chain, split states included."""
+    return _gather(shape, *count_cells(shape.n_players, shape.n_alliance, 1))
 
 
 @functools.lru_cache(maxsize=64)
 def lumped_payoff_vectors(shape: GameShape) -> PayoffVectors:
-    """The unison payoffs on the alliance-lumped states: bit 0 is the
+    """The payoffs per state of the alliance-lumped chain: bit 0 is the
     alliance's unison action, the other bits are the outsiders (leaders,
     then followers)."""
-    bits = state_bits(shape.n_players - shape.n_alliance + 1)
-    k = shape.n_alliance * bits[:, 0]
-    return _gather(shape, k, k + bits[:, 1:].sum(axis=1))
+    na = shape.n_alliance
+    return _gather(shape, *count_cells(shape.n_players - na + 1, 1, na))

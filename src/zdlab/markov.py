@@ -167,11 +167,6 @@ def build_lumped_matrix(shape: GameShape, leaders,
     return TransitionMatrix(matrix, shape)
 
 
-def _read_only(array):
-    array.flags.writeable = False
-    return array
-
-
 def splits_transient(shape: GameShape, table) -> bool:
     """Whether every split alliance state of the coupled chain reunites in
     one step with positive probability, for alliance table ``table``.
@@ -224,12 +219,12 @@ def _chain_plan(weights: tuple, n_followers: int) -> _ChainPlan:
         i * np.prod(dims) + np.ravel_multi_index(
             (own, leader_coops - own, follower_coops), dims)
         for i, own in enumerate(bits[:, :nl].T)])
-    acted = tuple(_read_only(bits[:, nl + j] == 1)
-                  for j in range(n_followers))
+    acted = tuple(bits[:, nl + j] == 1 for j in range(n_followers))
     pattern = state_bits(nl).T
     splits = pattern[:, None, :] != pattern[None, :, :]
-    return _ChainPlan(_read_only(leader_coops), acted, _read_only(gathers),
-                      _read_only(splits))
+    for array in (leader_coops, gathers, splits, *acted):
+        array.flags.writeable = False
+    return _ChainPlan(leader_coops, acted, gathers, splits)
 
 
 def _chain(weights, leaders, followers, n_tied):
@@ -399,8 +394,7 @@ def determinant_dot(tm: TransitionMatrix, f, pivot_leader: int) -> float:
     return float(det_f / norm)
 
 
-def expected_payoffs(shape: GameShape, sv: StationaryVector,
-                     payoffs: PayoffVectors):
+def expected_payoffs(sv: StationaryVector, payoffs: PayoffVectors):
     """Expected per-round payoffs (alliance, outsiders) at stationarity."""
     v = sv.vector
     return float(v @ payoffs.alliance), float(v @ payoffs.outsiders)

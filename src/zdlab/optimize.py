@@ -17,7 +17,10 @@ from .graphs import Graph, adjacency_matrix
 
 # mask elements scored per exhaustive-search block
 EXHAUSTIVE_BLOCK = 8192
-EXHAUSTIVE_CAP = 2_000_000  # most subsets C(V, K) a search enumerates
+# most work of one search: V * C(V-1, K-1) mask entries, each weighted by
+# 1 + (V / 256)^2 for the V x V adjacency every block reads (README.md)
+EXHAUSTIVE_CAP = 2**27
+GA_CAP = 2**22  # most entries P * V of a GA population (~24 B each traced)
 # the GA's fixed operators (see optimize_ga)
 TOURNAMENT_SIZE = 3
 CROSSOVER_RATE = 0.9
@@ -37,6 +40,12 @@ class GAConfig:
             raise ValueError("generations must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+
+    def check_size(self, g: Graph):
+        """Refuse a population of more than ``GA_CAP`` entries P * V."""
+        if (size := self.population_size) * g.n > GA_CAP:
+            raise ValueError(f"a population of {size} on {g.n} nodes holds "
+                             f"{size * g.n} entries, over the cap of {GA_CAP}")
 
 
 def _check_k(g: Graph, k: int):
@@ -64,12 +73,6 @@ def fix_k(masks: np.ndarray, k: int, rng) -> np.ndarray:
     return out
 
 
-def _top_k_mask(values, k):
-    mask = np.zeros(len(values), dtype=bool)
-    mask[np.argsort(-np.asarray(values), kind="stable")[:k]] = True
-    return mask
-
-
 def optimize_ga(g: Graph, k: int, scale: PayoffScale,
                 cfg: GAConfig = GAConfig()):
     """Best deployment found by the GA.
@@ -85,13 +88,14 @@ def optimize_ga(g: Graph, k: int, scale: PayoffScale,
     per-generation best fitness (nondecreasing thanks to elitism).
     """
     _check_k(g, k)
+    cfg.check_size(g)
     rng = np.random.default_rng(cfg.seed)
     n, size = g.n, cfg.population_size
     n_children = size - ELITISM_COUNT
 
-    population = np.concatenate(
-        [_top_k_mask(g.degrees, k)[None],
-         fix_k(np.zeros((size - 1, n), dtype=bool), k, rng)])
+    population = np.zeros((size, n), dtype=bool)
+    population[0, np.argsort(-g.degrees, kind="stable")[:k]] = True
+    population[1:] = fix_k(population[1:], k, rng)
     scores = objective_from_mask(g, population, scale)
 
     # index arrays that pick each tournament's winner out of ``picks``
@@ -172,8 +176,8 @@ def _cached_plan(n: int, k: int, rows: int) -> tuple:
 def optimize_exhaustive(g: Graph, k: int, scale: PayoffScale):
     """Exact optimum by enumeration in lexicographic order; a subset
     replaces the best only when it beats it by more than 1e-12 relative, so
-    ties go to the lexicographically smallest ZD set. Refuses when C(V, K)
-    exceeds ``EXHAUSTIVE_CAP``.
+    ties go to the lexicographically smallest ZD set. Refuses, before any
+    enumeration, a search whose work exceeds ``EXHAUSTIVE_CAP``.
 
     The K-subsets are visited as (K-1)-prefixes T of range(V - 1), each
     extended by every v > max(T). :func:`_extension_scores` scores all
@@ -185,12 +189,12 @@ def optimize_exhaustive(g: Graph, k: int, scale: PayoffScale):
     :func:`_cached_plan` while they are small.
     """
     _check_k(g, k)
-    total = math.comb(g.n, k)
-    if total > EXHAUSTIVE_CAP:
-        raise ExhaustiveCapError(
-            f"{total} candidate subsets exceed the cap of {EXHAUSTIVE_CAP}"
-        )
     n = g.n
+    entries = n * math.comb(n - 1, k - 1)
+    work = entries * (2**16 + n * n) // 2**16
+    if work > EXHAUSTIVE_CAP:
+        raise ExhaustiveCapError(f"search work {work} (V = {n}, K = {k}) "
+                                 f"exceeds the cap of {EXHAUSTIVE_CAP}")
     adj = adjacency_matrix(g)
     slack = _record_slack(n)
     rows = max(1, EXHAUSTIVE_BLOCK // n)
@@ -199,7 +203,7 @@ def optimize_exhaustive(g: Graph, k: int, scale: PayoffScale):
     # a plan of at most 32 blocks' worth of mask entries (512 KB for both
     # arrays at the default block) is built once per shape; a larger one
     # streams, so memory stays O(block)
-    small = n * math.comb(n - 1, k - 1) <= 32 * EXHAUSTIVE_BLOCK
+    small = entries <= 32 * EXHAUSTIVE_BLOCK
     for masks, valid in (_cached_plan if small else _plan_blocks)(n, k, rows):
         approx = np.where(valid, _extension_scores(g, adj, masks, scale), -math.inf)
         # prefixes holding a possible record, by their best extension and

@@ -16,7 +16,8 @@ from zdlab.alliance import (ZDParams, _default_outsiders, _phi_interval,
                             random_outsiders, stationary_payoffs, synthesize,
                             verify_enforcement)
 from zdlab.errors import InfeasibleError
-from zdlab.game import GameShape, payoff_vectors, state_bits, unison_payoffs
+from zdlab.game import (GameShape, count_cells, count_payoffs, payoff_vectors,
+                        state_bits)
 from zdlab.markov import (LeaderStrategy, build_transition_matrix,
                           expected_payoffs, splits_transient, stationary,
                           zd_determinant)
@@ -65,11 +66,12 @@ def f_tables(draw):
     n = draw(st.integers(2, 10))
     na = draw(st.integers(1, n - 1))
     shape = GameShape(n, na, na, draw(st.sampled_from([n + 0.5, 2.0 * n + 3])))
-    unison = unison_payoffs(shape)
+    # the unison outcomes are rows 0 and n_alliance of the count table
+    counts = count_payoffs(shape)
     zero = _zero_band(draw(st.sampled_from([0.0, 0.3, 0.9])),
-                      draw(st.floats(0.5, 4.0 * n)), unison)
+                      draw(st.floats(0.5, 4.0 * n)), counts)[[0, na]]
     f = np.full((2, n + 1), np.nan)
-    for s, b in np.argwhere(~np.isnan(unison.alliance)).tolist():
+    for s, b in np.argwhere(~np.isnan(counts.alliance[[0, na]])).tolist():
         kind = draw(st.sampled_from(["zero", "inside", "edge", "value"]))
         if kind == "zero":
             f[s, b] = 0.0
@@ -97,7 +99,7 @@ def full_chain_payoffs(result, outsiders):
                + list(outsiders[:n_out_leaders]))
     tm = build_transition_matrix(shape, leaders, list(outsiders[n_out_leaders:]),
                                  coupling=True)
-    return expected_payoffs(shape, stationary(tm), payoff_vectors(shape))
+    return expected_payoffs(stationary(tm), payoff_vectors(shape))
 
 
 class TestAdmissibility:
@@ -234,29 +236,51 @@ class TestSynthesis:
         # split states of this game are transient, so the certificate runs
         # on the lumped chain: nothing in synthesize needs the 2^N states
         shape, chi, l = GameShape(6, 5, 4, 15.0), 0.3, 9.0
-        sizes = []
+        sizes, cells = [], []
 
         def spy_bits(n_players):
             sizes.append(n_players)
             return state_bits(n_players)
+
+        def spy_cells(*layout):
+            cells.append(layout)
+            return count_cells(*layout)
 
         def no_vectors(shape):
             raise AssertionError("payoff_vectors called")
 
         monkeypatch.setattr(game, "state_bits", spy_bits)
         monkeypatch.setattr(markov, "state_bits", spy_bits)
+        monkeypatch.setattr(game, "count_cells", spy_cells)
+        monkeypatch.setattr(alliance, "count_cells", spy_cells)
         monkeypatch.setattr(game, "payoff_vectors", no_vectors)
         monkeypatch.setattr(alliance, "payoff_vectors", no_vectors)
         result = synthesize(ZDParams(chi, l, shape))
         assert shape.n_players not in sizes
-        before = len(sizes)
+        assert all(n_bits < shape.n_players for n_bits, _, _ in cells)
+        before = len(cells)
         f = result.f_vector
-        assert sizes[before:] == [shape.n_players]
+        assert cells[before:] == [(shape.n_players, shape.n_alliance, 1)]
         assert result.f_vector is f and not f.flags.writeable
         monkeypatch.undo()
         pv = payoff_vectors(shape)
         assert f.tobytes() == (chi * (pv.alliance - l)
                                - (pv.outsiders - l)).tobytes()
+
+    def test_f_vector_gathers_count_table(self):
+        # every admissible split of N <= 10: f per state is the count table
+        # at the state's popcounts (cooperating members, all cooperators)
+        for shape in GRID_SHAPES:
+            try:
+                lo, hi = feasible_l_range(0.3, shape)
+                result = synthesize(ZDParams(0.3, (lo + hi) / 2, shape))
+            except InfeasibleError:
+                continue
+            states = range(shape.n_states)
+            low = (1 << shape.n_alliance) - 1
+            k = [bin(state & low).count("1") for state in states]
+            b = [bin(state).count("1") for state in states]
+            assert result.f_vector.tobytes() == result.f_counts[k, b].tobytes()
 
     def test_f_tables_share_one_count_table(self):
         for shape in SMALL_SHAPES:
@@ -279,9 +303,10 @@ class TestSynthesis:
         f = result.f_unison
         assert f.shape == (2, 6)
         assert not f.flags.writeable
-        unison = unison_payoffs(shape)
+        counts = count_payoffs(shape)
+        unison = counts.alliance[[0, 3]], counts.outsiders[[0, 3]]
         np.testing.assert_array_equal(
-            f, 0.3 * (unison.alliance - 6.0) - (unison.outsiders - 6.0))
+            f, 0.3 * (unison[0] - 6.0) - (unison[1] - 6.0))
         assert np.isnan(f[1, :3]).all() and np.isnan(f[0, 3:]).all()
         assert not np.isnan(f[1, 3:]).any() and not np.isnan(f[0, :3]).any()
         assert "payoffs" not in inspect.signature(synthesize).parameters
@@ -445,7 +470,7 @@ class TestEnforcement:
             lo, hi = feasible_l_range(0.0, shape)
             synthesize(ZDParams(0.0, (lo + hi) / 2, shape))
         for cached in (game.count_payoffs, game.payoff_vectors,
-                       game.unison_payoffs, game.lumped_payoff_vectors,
+                       game.lumped_payoff_vectors,
                        alliance._strategy_indices,
                        alliance._default_outsiders):
             assert cached.cache_info().currsize <= 64, cached.__name__

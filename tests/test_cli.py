@@ -546,11 +546,46 @@ class TestMain:
         assert main(["topo", "--type", "mesh", "--n", "80",
                      "--out", gpath]) == 0
         capsys.readouterr()
-        assert main(["opt", "--graph", gpath, "--K", "5",
+        # 80 * C(79, 5) mask entries, each weighted by 1 + (80 / 256)^2
+        assert main(["opt", "--graph", gpath, "--K", "6",
                      "--exhaustive"]) == 2
         err = capsys.readouterr().err
-        assert "24040016 candidate subsets" in err
-        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err == ("error: search work 1979075535 (V = 80, K = 6) "
+                       "exceeds the cap of 134217728\n")
+
+    @pytest.mark.parametrize("command", ["opt", "sweep"])
+    def test_population_cap_exit_code(self, tmp_path, monkeypatch, capsys,
+                                      command):
+        # one over GA_CAP entries on a 12-node ring, refused by its value:
+        # no betweenness, no output file and no random draw
+        size = zdlab.optimize.GA_CAP // 12 + 1
+        gpath = tmp_path / "ring12.txt"
+        Graph(12, [(u, (u + 1) % 12) for u in range(12)]).write(str(gpath))
+        out = tmp_path / "sweep.csv"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(
+            tmp_path, ga={"population_size": size, "generations": 1})))
+
+        def refuse(*args):
+            raise AssertionError("work done past the population cap")
+
+        monkeypatch.setattr(zdlab.graphs, "betweenness", refuse)
+        monkeypatch.setattr(zdlab.optimize.np.random, "default_rng", refuse)
+        argv = {"opt": ["opt", "--graph", str(gpath), "--K", "2",
+                        "--population", str(size)],
+                "sweep": ["sweep", "--config", str(cfg_path)]}[command]
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: a population of {size} on 12 nodes holds {12 * size} "
+            f"entries, over the cap of {zdlab.optimize.GA_CAP}\n")
+        assert not out.exists()
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("patch", [
         {"topology": 5},
@@ -888,8 +923,9 @@ class TestMain:
 # extremes, huge integers and "". An example draws usual values only, or
 # one further value, or any values (usual ones three times in four) and
 # then drops an option one time in ten. Sizes stay small unless the value
-# must be refused before any work: a population or a sweep graph is never
-# drawn large, since nothing refuses it.
+# must be refused before any work: a population is drawn large only over
+# its cap on every graph drawn (3 nodes or more), and a sweep graph never,
+# since nothing refuses it.
 SMALL = ["0", "-1", "1", "2", "3"]
 EXTREME = ["", "1e308", "-1e308", str(10**30), str(-10**30), str(10**400)]
 SIZE = SMALL + EXTREME
@@ -928,7 +964,9 @@ OPTIONS = {
     "opt": {"--graph": (["{graph}"], FILES),
             "--K": (["1", "2"], SIZE + [
                 str(zdlab.optimize.EXHAUSTIVE_CAP + 1)]),
-            "--seed": (["0"], SIZE), "--population": (["2", "3"], SMALL),
+            "--seed": (["0"], SIZE),
+            "--population": (["2", "3"], SMALL + [
+                str(zdlab.optimize.GA_CAP // 3 + 1)]),
             "--generations": (["1", "2"], SMALL), "--exhaustive": None,
             **SCALE_OPTIONS},
     "sweep": {"--config": (["{config}"], FILES)},
@@ -945,7 +983,8 @@ CONFIG_VALUES = {
     ("scale", "b"): ([3], [0.5, 0, -1, 1e308, 10**400]),
     ("k_range", "min"): ([1], [2, 0, -1, 10**30]),
     ("k_range", "max"): ([2], [1, 0, 10**30, ""]),
-    ("ga", "population_size"): ([2, 3], [1, 0, -1, ""]),
+    ("ga", "population_size"): ([2, 3], [1, 0, -1, "",
+                                         zdlab.optimize.GA_CAP // 3 + 1]),
     ("ga", "generations"): ([1, 2], [0, -1, 1.5]),
     ("ratio", "mode"): (["expected", "monte_carlo"], ["", None]),
     ("ratio", "rounds"): ([50], [1, 0, -1, 2**63 - 1, 2**63, 1e308]),

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from zdlab.game import (GameShape, PayoffScale, count_payoffs,
+from zdlab.game import (GameShape, PayoffScale, count_cells, count_payoffs,
                         is_social_dilemma, lumped_payoff_vectors,
-                        payoff_vectors, state_bits, unison_payoffs, utility)
+                        payoff_vectors, state_bits, utility)
 
 R = 9.0
 FIG_SHAPE = GameShape(3, 2, 2, R)
@@ -27,10 +27,18 @@ def state_of(actions):
     return sum(a << i for i, a in enumerate(actions))
 
 
+def unison_rows(shape):
+    """Rows 0 and n_alliance of :func:`zdlab.game.count_payoffs`, the
+    unison outcomes (s, b): (2, N + 1) arrays indexed [s, b]."""
+    table = count_payoffs(shape)
+    rows = [0, shape.n_alliance]
+    return table.alliance[rows], table.outsiders[rows]
+
+
 def reference_unison(s, b, shape):
     """Scalar closed forms of the (alliance, outsider) average payoffs of
     unison outcome (s, b), in the operation order of
-    :func:`zdlab.game.unison_payoffs`."""
+    :func:`zdlab.game.count_payoffs`."""
     n, na = shape.n_players, shape.n_alliance
     base = shape.r * b / n
     if s == 1:
@@ -143,15 +151,15 @@ class TestGameShape:
 class TestPayoffVectors:
     def test_worked_example_symbolic(self):
         # alliance unison outcomes (s, b): values 2r/3, r, 1, r/3 + 1
-        table = unison_payoffs(FIG_SHAPE)
-        assert table.alliance[1, 2] == pytest.approx(2 * R / 3)
-        assert table.alliance[1, 3] == pytest.approx(R)
-        assert table.alliance[0, 0] == pytest.approx(1.0)
-        assert table.alliance[0, 1] == pytest.approx(R / 3 + 1)
-        assert table.outsiders[1, 2] == pytest.approx(2 * R / 3 + 1)
-        assert table.outsiders[1, 3] == pytest.approx(R)
-        assert table.outsiders[0, 0] == pytest.approx(1.0)
-        assert table.outsiders[0, 1] == pytest.approx(R / 3)
+        alliance, outsiders = unison_rows(FIG_SHAPE)
+        assert alliance[1, 2] == pytest.approx(2 * R / 3)
+        assert alliance[1, 3] == pytest.approx(R)
+        assert alliance[0, 0] == pytest.approx(1.0)
+        assert alliance[0, 1] == pytest.approx(R / 3 + 1)
+        assert outsiders[1, 2] == pytest.approx(2 * R / 3 + 1)
+        assert outsiders[1, 3] == pytest.approx(R)
+        assert outsiders[0, 0] == pytest.approx(1.0)
+        assert outsiders[0, 1] == pytest.approx(R / 3)
 
     def test_worked_example_r9(self):
         pv = payoff_vectors(FIG_SHAPE)
@@ -172,16 +180,16 @@ class TestPayoffVectors:
                 for na in range(1, min(nl, n - 1) + 1):
                     shape = GameShape(n, nl, na, 2 * n + 3)
                     pv = payoff_vectors(shape)
-                    table = unison_payoffs(shape)
+                    alliance, outsiders = unison_rows(shape)
                     for state in range(shape.n_states):
                         acts = state_bits(n)[state].tolist()
                         if len(set(acts[:na])) != 1:
                             continue
                         s, b = acts[0], sum(acts)
                         assert pv.alliance[state] == pytest.approx(
-                            table.alliance[s, b])
+                            alliance[s, b])
                         assert pv.outsiders[state] == pytest.approx(
-                            table.outsiders[s, b])
+                            outsiders[s, b])
 
     def test_total_payoff_identity(self):
         # group averages recombine to the sum of individual payoffs
@@ -201,22 +209,21 @@ class TestUnisonPayoffs:
     def test_table_equals_closed_forms(self):
         for shape in SPLIT_SHAPES:
             n, na = shape.n_players, shape.n_alliance
-            table = unison_payoffs(shape)
-            assert unison_payoffs(shape) is table
+            table = count_payoffs(shape)
             for array in (table.alliance, table.outsiders):
-                assert array.shape == (2, n + 1)
-                assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array[0, 0] = 0.0
+            alliance, outsiders = unison_rows(shape)
+            assert alliance.shape == outsiders.shape == (2, n + 1)
             for s in (0, 1):
                 for b in range(n + 1):
                     if (s == 1 and b < na) or (s == 0 and b > n - na):
-                        assert np.isnan(table.alliance[s, b])
-                        assert np.isnan(table.outsiders[s, b])
+                        assert np.isnan(alliance[s, b])
+                        assert np.isnan(outsiders[s, b])
                         continue
                     ga, go = reference_unison(s, b, shape)
-                    assert table.alliance[s, b] == ga
-                    assert table.outsiders[s, b] == go
+                    assert alliance[s, b] == ga
+                    assert outsiders[s, b] == go
 
     def test_lumped_vectors_equal_closed_forms(self):
         # lumped state: bit 0 is the alliance's action, the other bits are
@@ -270,18 +277,52 @@ class TestCountPayoffs:
                         assert math.isclose(g, w, rel_tol=1e-15), (shape, k, b)
 
     def test_views_are_exact_entries(self):
-        # unison rows are k = 0 and k = n_alliance; a lumped state gathers
-        # (n_alliance * s, n_alliance * s + outsider cooperators)
+        # a lumped state gathers (n_alliance * s, n_alliance * s + outsider
+        # cooperators)
         for shape in COUNT_SHAPES:
             na = shape.n_alliance
             table = count_payoffs(shape)
-            unison = unison_payoffs(shape)
             bits = state_bits(shape.n_players - na + 1)
             k = na * bits[:, 0]
             lumped = lumped_payoff_vectors(shape)
             for side in ("alliance", "outsiders"):
                 full = getattr(table, side)
-                assert (getattr(unison, side).tobytes()
-                        == full[[0, na]].tobytes())
                 assert (getattr(lumped, side).tobytes()
                         == full[k, k + bits[:, 1:].sum(axis=1)].tobytes())
+
+
+def reference_cells(n_bits, n_members, weight):
+    """Per-state popcounts: ``weight`` times the cooperators among the low
+    ``n_members`` bits, and that plus the cooperators among the rest."""
+    low = (1 << n_members) - 1
+    k = [weight * bin(state & low).count("1") for state in range(1 << n_bits)]
+    b = [kk + bin(state >> n_members).count("1") for state, kk in enumerate(k)]
+    return np.array(k), np.array(b)
+
+
+class TestCountCells:
+    def test_layouts_match_popcounts(self):
+        # the full chain (N, n_alliance, 1) and the alliance-lumped chain
+        # (N - n_alliance + 1, 1, n_alliance) of every split with N <= 10
+        layouts = {layout for shape in COUNT_SHAPES for layout in (
+            (shape.n_players, shape.n_alliance, 1),
+            (shape.n_players - shape.n_alliance + 1, 1, shape.n_alliance))}
+        for layout in sorted(layouts):
+            cells = count_cells(*layout)
+            assert count_cells(*layout) is cells
+            for got, want in zip(cells, reference_cells(*layout)):
+                np.testing.assert_array_equal(got, want)
+                assert not got.flags.writeable
+
+    def test_views_gather_the_count_table(self):
+        for shape in COUNT_SHAPES:
+            n, na = shape.n_players, shape.n_alliance
+            table = count_payoffs(shape)
+            for view, layout in ((payoff_vectors, (n, na, 1)),
+                                 (lumped_payoff_vectors, (n - na + 1, 1, na))):
+                k, b = reference_cells(*layout)
+                vectors = view(shape)
+                for side in ("alliance", "outsiders"):
+                    got = getattr(vectors, side)
+                    assert not got.flags.writeable
+                    assert got.tobytes() == getattr(table, side)[k, b].tobytes()

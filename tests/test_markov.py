@@ -528,9 +528,9 @@ class TestExpectedPayoffs:
                 self.vector[state] = 1.0
 
         all_c = Point(state_of((1, 1, 1)))
-        assert expected_payoffs(FIG_SHAPE, all_c, pv) == (9.0, 9.0)
+        assert expected_payoffs(all_c, pv) == (9.0, 9.0)
         all_d = Point(0)
-        assert expected_payoffs(FIG_SHAPE, all_d, pv) == (1.0, 1.0)
+        assert expected_payoffs(all_d, pv) == (1.0, 1.0)
 
     def test_uniform_over_unison_states(self):
         pv = payoff_vectors(FIG_SHAPE)
@@ -541,7 +541,7 @@ class TestExpectedPayoffs:
             vector = np.zeros(8)
 
         Mixed.vector[unison] = 0.25
-        pi_a, pi_out = expected_payoffs(FIG_SHAPE, Mixed, pv)
+        pi_a, pi_out = expected_payoffs(Mixed, pv)
         assert pi_a == pytest.approx((6 + 9 + 1 + 4) / 4)
         assert pi_out == pytest.approx((7 + 9 + 1 + 3) / 4)
 

@@ -41,6 +41,12 @@ def small_graphs(draw):
     return Graph(n, edges)
 
 
+def search_work(n, k):
+    """Work of an exhaustive search on V = n nodes: V * C(V-1, K-1) mask
+    entries, each weighted by 1 + (V / 256)^2."""
+    return n * math.comb(n - 1, k - 1) * (2**16 + n * n) // 2**16
+
+
 def sequential_exhaustive(g, k, score=None, scale=SCALE, picks=None):
     """Reference search: every subset in lexicographic order, replacing the
     best only when beaten by more than 1e-12 relative; each subset that
@@ -76,20 +82,46 @@ class TestExhaustive:
         assert score == pytest.approx(best)
 
     def test_cap(self, monkeypatch):
-        monkeypatch.setattr(optimize, "EXHAUSTIVE_CAP", 1000)
-        with pytest.raises(ExhaustiveCapError):
-            optimize_exhaustive(generate("mesh", 60, seed=0), 30, SCALE)
+        # the cap bounds work, not subsets: mesh-20 K=3 has C(20, 3) =
+        # 1,140 subsets, 20 * C(19, 2) = 3,420 mask entries and 3,440 units
+        g = generate("mesh", 20, seed=0)
+        assert search_work(20, 3) == 3440
+        expected = optimize_exhaustive(g, 3, SCALE)
+        monkeypatch.setattr(optimize, "EXHAUSTIVE_CAP", 3440)
+        assert optimize_exhaustive(g, 3, SCALE) == expected
+        monkeypatch.setattr(optimize, "EXHAUSTIVE_CAP", 3439)
+        with pytest.raises(ExhaustiveCapError, match=(
+                r"^search work 3440 \(V = 20, K = 3\) exceeds the cap of "
+                r"3439$")):
+            optimize_exhaustive(g, 3, SCALE)
+
+    def test_cap_admits_mesh80_k5(self):
+        # by value: mesh-80 K=5 (120,200,080 mask entries, about 4 s) is
+        # admitted and K=6 is not; a K=2 search is refused from V = 1,713,
+        # where each block reads a 1,713 x 1,713 adjacency
+        cap = optimize.EXHAUSTIVE_CAP
+        assert search_work(80, 5) == 131_938_369 <= cap
+        assert search_work(80, 6) > cap
+        assert search_work(1712, 2) <= cap < search_work(1713, 2)
 
     def test_cap_raises_before_enumeration(self, monkeypatch):
         def enumerate_nothing(*args):
             raise AssertionError("subsets enumerated past the cap")
 
         monkeypatch.setattr(optimize, "lex_combinations", enumerate_nothing)
-        monkeypatch.setattr(optimize, "EXHAUSTIVE_CAP", 1000)
+        monkeypatch.setattr(optimize, "_plan_blocks", enumerate_nothing)
+        monkeypatch.setattr(optimize, "adjacency_matrix", enumerate_nothing)
         # C(80, 40) is about 1e23, beyond int64
-        for n, k in ((60, 30), (80, 40)):
-            with pytest.raises(ExhaustiveCapError):
-                optimize_exhaustive(generate("mesh", n, seed=0), k, SCALE)
+        for kind, n, k in (("mesh", 80, 6), ("mesh", 60, 30),
+                           ("mesh", 80, 40), ("ring", 1713, 2)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ExhaustiveCapError):
+                    optimize_exhaustive(generate(kind, n, seed=0), k, SCALE)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, (kind, n, k)
 
     def test_bad_k(self):
         for k in (0, 5, 6):
@@ -402,6 +434,30 @@ class TestGA:
         monkeypatch.setattr(graphs, "_dependencies", refuse)
         dep, _, _ = optimize_ga(generate("mesh", 30, seed=8), 3, SCALE, FAST)
         assert len(dep.zd_nodes) == 3
+
+    def test_population_cap_refused_before_any_draw(self, monkeypatch):
+        # by value alone: mesh-80 admits GA_CAP // 80 = 52,428 individuals
+        g = generate("mesh", 80, seed=1)
+        size = optimize.GA_CAP // 80
+        GAConfig(population_size=size).check_size(g)
+
+        def no_rng(*args):
+            raise AssertionError("random generator built past the cap")
+
+        monkeypatch.setattr(optimize.np.random, "default_rng", no_rng)
+        for population in (size + 1, 10**8):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=(
+                        f"^a population of {population} on 80 nodes holds "
+                        f"{80 * population} entries, over the cap of "
+                        f"{optimize.GA_CAP}$")):
+                    optimize_ga(g, 5, SCALE,
+                                GAConfig(population_size=population))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
 
     def test_bad_k(self):
         with pytest.raises(ValueError):
