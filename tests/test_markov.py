@@ -488,21 +488,8 @@ class TestDeterminant:
     @pytest.mark.parametrize("coupled", [False, True])
     def test_dot_is_ratio_of_determinants(self, coupled):
         # the stacked route gives bit for bit the ratio of two single ones
-        rng = np.random.default_rng(4)
-        for n in range(2, 7):
-            for n_leaders in range(1, n + 1):
-                shape = GameShape(n, n_leaders, min(2, n_leaders, n - 1),
-                                  2.0 * n)
-                pv = payoff_vectors(shape)
-                leaders, followers = random_profile(shape, rng)
-                tm = build_transition_matrix(shape, leaders, followers,
-                                             coupled)
-                ones = np.ones(shape.n_states)
-                for pivot in range(n_leaders):
-                    for f in (pv.alliance, pv.outsiders):
-                        assert determinant_dot(tm, f, pivot) == (
-                            zd_determinant(tm, f, pivot)
-                            / zd_determinant(tm, ones, pivot))
+        for _, dot, det_f, det_ones in _determinant_grid(coupled):
+            assert dot == det_f / det_ones
 
     def test_pivot_must_be_leader(self):
         rng = np.random.default_rng(2)
@@ -516,6 +503,26 @@ class TestDeterminant:
         tm = _reducible_chain()
         with pytest.raises(DegenerateChainError):
             determinant_dot(tm, np.ones(8), 0)
+
+
+def _determinant_grid(coupled):
+    """``(N, determinant_dot, zd_determinant of f, zd_determinant of the
+    all-ones vector)`` for N = 2..6, every leader count (an alliance of up
+    to two), every pivot leader and f the alliance then the outsider
+    payoffs, on chains drawn in that order from one generator."""
+    rng = np.random.default_rng(4)
+    for n in range(2, 7):
+        for n_leaders in range(1, n + 1):
+            shape = GameShape(n, n_leaders, min(2, n_leaders, n - 1), 2.0 * n)
+            pv = payoff_vectors(shape)
+            leaders, followers = random_profile(shape, rng)
+            tm = build_transition_matrix(shape, leaders, followers, coupled)
+            ones = np.ones(shape.n_states)
+            for pivot in range(n_leaders):
+                for f in (pv.alliance, pv.outsiders):
+                    yield (n, determinant_dot(tm, f, pivot),
+                           zd_determinant(tm, f, pivot),
+                           zd_determinant(tm, ones, pivot))
 
 
 class TestExpectedPayoffs:
@@ -596,6 +603,19 @@ STATIONARY_GOLDEN = {
     (10, 7, 6): ("b35665a15b49a6c3", "315618161558b2ea", "b4b5079fd194979a"),
 }
 
+# sha256 prefixes, per N as (uncoupled, coupled), of the float64 bytes of
+# every (determinant_dot, zd_determinant of f, zd_determinant of ones)
+# triple of ``_determinant_grid``, in its order. They pin the determinant
+# route, chain build included, bit for bit. The grid's members draw their
+# own tables, which never tie, so coupling leaves its chains unchanged.
+DETERMINANT_GOLDEN = {
+    2: ("19ab1445d43e0f0c", "19ab1445d43e0f0c"),
+    3: ("ef2531e2482eeb2b", "ef2531e2482eeb2b"),
+    4: ("9572c846dd171984", "9572c846dd171984"),
+    5: ("9ccb9ff49fd194ac", "9ccb9ff49fd194ac"),
+    6: ("19c5557d34beeb0d", "19c5557d34beeb0d"),
+}
+
 
 class TestGolden:
     @pytest.mark.parametrize("kind", ["uncoupled", "coupled", "lumped"])
@@ -621,3 +641,12 @@ class TestGolden:
         h = hashlib.sha256(sv.vector.tobytes())
         h.update(f"{sv.residual!r}|{sv.path}|{sv.iterations}".encode())
         assert h.hexdigest()[:16] == STATIONARY_GOLDEN[dims][index]
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_determinant_bits(self, coupled):
+        digests = {}
+        for n, *values in _determinant_grid(coupled):
+            h = digests.setdefault(n, hashlib.sha256())
+            h.update(np.array(values).tobytes())
+        assert {n: h.hexdigest()[:16] for n, h in digests.items()} == {
+            n: pair[coupled] for n, pair in DETERMINANT_GOLDEN.items()}
