@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,6 +58,13 @@ class SynthesisResult:
         f = self.f_counts[count_cells(shape.n_players, shape.n_alliance, 1)]
         f.flags.writeable = False
         return f
+
+    @functools.cached_property
+    def lumpable(self) -> bool:
+        """Whether the coupled chain's split states are transient
+        (``splits_transient``), so that it solves lumped; built on first
+        read."""
+        return splits_transient(self.params.shape, self.strategy.table)
 
 
 def alliance_admissible(shape: GameShape) -> bool:
@@ -179,8 +186,11 @@ def synthesize(params: ZDParams) -> SynthesisResult:
     strategy = _alliance_strategy(shape, f, phi)
     result = SynthesisResult(strategy, f_counts, f, phi, interval, math.nan,
                              params)
-    certificate = verify_enforcement(result, _default_outsiders(shape))
-    return replace(result, certificate=certificate)
+    # nothing else holds the result yet, so the certificate is set in
+    # place: a copy would read the strategy's lumpability again
+    object.__setattr__(result, "certificate",
+                       verify_enforcement(result, _default_outsiders(shape)))
+    return result
 
 
 @functools.lru_cache(maxsize=64)
@@ -251,7 +261,7 @@ def stationary_payoffs(result: SynthesisResult, outsider_strategies):
     out_leaders = list(outsider_strategies[:n_out_leaders])
     followers = list(outsider_strategies[n_out_leaders:])
 
-    if splits_transient(shape, result.strategy.table):
+    if result.lumpable:
         tm = build_lumped_matrix(shape, [result.strategy] + out_leaders,
                                  followers)
         payoffs = lumped_payoff_vectors(shape)

@@ -192,7 +192,7 @@ class _ChainPlan:
     ``_chain_plan``)."""
 
     leader_coops: np.ndarray
-    acted: tuple
+    acted: np.ndarray
     gathers: np.ndarray
     splits: np.ndarray
 
@@ -203,10 +203,12 @@ def _chain_plan(weights: tuple, n_followers: int) -> _ChainPlan:
     ``n_followers`` followers:
 
     - ``leader_coops[state]``, the number of cooperating leaders;
-    - ``acted[j][state]``, whether follower j cooperated;
+    - ``acted[j, state]``, whether follower j cooperated;
     - ``gathers[i, state]``, the index of mover i's entry ``[own,
       leader_coops - own, cooperating followers]`` (``own`` being its
-      action) into the movers' tables laid end to end;
+      action) into the movers' tables laid end to end; row ``len(weights)
+      + j`` holds follower j's entry ``leader_coops`` in its ``probs``,
+      laid after those tables;
     - ``splits[i, j, pattern]``, whether movers i and j act differently
       in a pattern of the leader bits, which are the low bits of a state.
     """
@@ -218,11 +220,13 @@ def _chain_plan(weights: tuple, n_followers: int) -> _ChainPlan:
     gathers = np.stack([
         i * np.prod(dims) + np.ravel_multi_index(
             (own, leader_coops - own, follower_coops), dims)
-        for i, own in enumerate(bits[:, :nl].T)])
-    acted = tuple(bits[:, nl + j] == 1 for j in range(n_followers))
+        for i, own in enumerate(bits[:, :nl].T)] + [
+        nl * np.prod(dims) + j * (dims[1] + 1) + leader_coops
+        for j in range(n_followers)])
+    acted = bits[:, nl:].T == 1
     pattern = state_bits(nl).T
     splits = pattern[:, None, :] != pattern[None, :, :]
-    for array in (leader_coops, gathers, splits, *acted):
+    for array in (leader_coops, acted, gathers, splits):
         array.flags.writeable = False
     return _ChainPlan(leader_coops, acted, gathers, splits)
 
@@ -236,19 +240,18 @@ def _chain(weights, leaders, followers, n_tied):
     coins for the column's leader bits, times the column's follower factor.
     """
     plan = _chain_plan(weights, len(followers))
-    size = len(plan.leader_coops)
-
-    # Follower factor depends only on the successor column.
-    fol = np.ones(size)
-    for strat, acted in zip(followers, plan.acted):
-        q = strat.probs.take(plan.leader_coops)
-        fol *= np.where(acted, q, 1.0 - q)
+    size, nl = len(plan.leader_coops), len(weights)
 
     # coins[i, state] = (1 - p, p), p being leader mover i's cooperation
-    # probability in that state
-    cond = np.concatenate([s.table.ravel() for s in leaders]).take(
-        plan.gathers)
-    coins = np.stack([1.0 - cond, cond], axis=-1)
+    # probability in that state, then in row nl + j follower j's
+    cond = np.concatenate([s.table.ravel() for s in leaders]
+                          + [s.probs for s in followers]).take(plan.gathers)
+    coins = np.empty(cond.shape + (2,))
+    np.subtract(1.0, cond, out=coins[..., 0])
+    coins[..., 1] = cond
+    # Follower factor depends only on the successor column; with no
+    # followers it is the empty product, all ones.
+    fol = np.where(plan.acted, cond[nl:], coins[nl:, :, 0]).prod(axis=0)
     if n_tied > 1:
         tied, split = _ties(plan.splits, cond[:n_tied])
         coins[:n_tied][tied] = 1.0  # a copying member draws no coin
@@ -256,7 +259,7 @@ def _chain(weights, leaders, followers, n_tied):
     # lead[state, pattern], the movers' factor for a leader-bit pattern:
     # each further mover's coin is an outer product on a new high bit
     lead = coins[0]
-    for coin in coins[1:]:
+    for coin in coins[1:nl]:
         lead = (coin[:, :, None] * lead[:, None, :]).reshape(size, -1)
     if n_tied > 1:
         lead[split] = 0.0
@@ -265,7 +268,7 @@ def _chain(weights, leaders, followers, n_tied):
         size, size)
 
     sums = matrix.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-9):
+    if np.abs(sums - 1.0).max() > 1e-9:
         raise ValueError("transition rows do not sum to one")
     matrix /= sums[:, None]
     return matrix
@@ -304,17 +307,19 @@ def stationary(tm: TransitionMatrix) -> StationaryVector:
     inputs.
     """
     m = tm.matrix
-    size = m.shape[0]
+    size = len(m)
+    if size <= _DIRECT_STATES:
+        sol, resid = _dense_attempt(m)
+        if resid <= _TOL:
+            return StationaryVector(sol, resid, "dense", 0)
     v = np.full(size, 1.0 / size)
     for sweep in range(_MAX_ITERS):
-        if sweep == _POWER_BUDGET or sweep == 0 and size <= _DIRECT_STATES:
-            sol = _dense_stationary(m)
+        if sweep == _POWER_BUDGET:
+            sol, resid = _dense_attempt(m)
+            if resid <= _TOL:
+                return StationaryVector(sol, resid, "dense", sweep)
             if sol is not None:
-                resid = float(np.abs(sol @ m - sol).max())
-                if resid <= _TOL:
-                    return StationaryVector(sol, resid, "dense", sweep)
-                if sweep == _POWER_BUDGET:  # not after the first-try solve
-                    v = sol
+                v = sol
         nxt = v @ m
         if np.abs(nxt - v).max() <= _TOL:
             resid = float(np.abs(nxt @ m - nxt).max())
@@ -326,6 +331,15 @@ def stationary(tm: TransitionMatrix) -> StationaryVector:
     raise ConvergenceError(
         f"stationary solve did not converge (residual {resid:.3e})", resid
     )
+
+
+def _dense_attempt(m):
+    """``_dense_stationary`` and its residual ``max|vM - v|``; ``(None,
+    inf)`` when it finds no vector."""
+    sol = _dense_stationary(m)
+    if sol is None:
+        return None, np.inf
+    return sol, float(np.abs(sol @ m - sol).max())
 
 
 def _dense_stationary(m):
@@ -360,13 +374,23 @@ def _zd_matrices(tm: TransitionMatrix, columns, pivot_leader: int):
     if columns.shape[1:] != (shape.n_states,):
         raise ValueError("payoff vector length must match the state space")
 
-    coop = state_bits(shape.n_players)[:, pivot_leader]
+    coop, cooperated = _pivot_columns(shape.n_players, pivot_leader)
     a = np.repeat(tm.matrix[None], len(columns), axis=0)
-    diagonal = np.arange(shape.n_states)
-    a[:, diagonal, diagonal] -= 1.0
-    a[:, :, 1 << pivot_leader] = tm.matrix[:, coop == 1].sum(axis=1) - coop
+    a.reshape(len(columns), -1)[:, ::shape.n_states + 1] -= 1.0
+    a[:, :, 1 << pivot_leader] = tm.matrix[:, cooperated].sum(axis=1) - coop
     a[:, :, 0] = columns
     return a
+
+
+@functools.lru_cache(maxsize=None)
+def _pivot_columns(n_players: int, pivot_leader: int):
+    """Read-only float column of whether ``pivot_leader`` cooperated in
+    each state, and the states where it did."""
+    coop = state_bits(n_players)[:, pivot_leader]
+    columns = coop.astype(float), np.flatnonzero(coop)
+    for array in columns:
+        array.flags.writeable = False
+    return columns
 
 
 def zd_determinant(tm: TransitionMatrix, f, pivot_leader: int) -> float:
@@ -384,8 +408,8 @@ def zd_determinant(tm: TransitionMatrix, f, pivot_leader: int) -> float:
 def determinant_dot(tm: TransitionMatrix, f, pivot_leader: int) -> float:
     """v . f computed through the determinant route: the all-ones
     normalization and the f determinant in one stacked ``det``."""
-    f = np.asarray(f, dtype=float)
-    columns = np.stack([np.ones_like(f), f])
+    columns = np.ones((2,) + np.shape(f))
+    columns[1] = f
     norm, det_f = np.linalg.det(_zd_matrices(tm, columns, pivot_leader))
     if abs(norm) < 1e-12:
         raise DegenerateChainError(

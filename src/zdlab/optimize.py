@@ -17,6 +17,9 @@ from .graphs import Graph, adjacency_matrix
 
 # mask elements scored per exhaustive-search block
 EXHAUSTIVE_BLOCK = 8192
+# candidate subsets re-scored per kernel call, whatever V: each call reads
+# the V x V adjacency once
+RESCORE_ROWS = 256
 # most work of one search: V * C(V-1, K-1) mask entries, each weighted by
 # 1 + (V / 256)^2 for the V x V adjacency every block reads (README.md)
 EXHAUSTIVE_CAP = 2**27
@@ -184,7 +187,8 @@ def optimize_exhaustive(g: Graph, k: int, scale: PayoffScale):
     extensions of a block of prefixes at once; only the subsets whose
     approximation exceeds the approximate running maximum before them,
     minus :func:`_record_slack`, can be strict records of the kernel's
-    scores, and only those are re-scored by :func:`objective_from_mask`.
+    scores, and only those are re-scored by :func:`objective_from_mask`,
+    ``RESCORE_ROWS`` per call.
     The prefix blocks come from :func:`_plan_blocks`, kept per shape by
     :func:`_cached_plan` while they are small.
     """
@@ -221,8 +225,9 @@ def optimize_exhaustive(g: Graph, k: int, scale: PayoffScale):
         ahead = np.concatenate((before[None, hot], ahead[:-1]))
         p, v = np.nonzero((scores > ahead - slack).T)  # in lexicographic order
         p = hot[p]
-        for first in range(0, len(p), rows):
-            cp, cv = p[first:first + rows], v[first:first + rows]
+        for first in range(0, len(p), RESCORE_ROWS):
+            cp = p[first:first + RESCORE_ROWS]
+            cv = v[first:first + RESCORE_ROWS]
             cand = masks[:, cp].T
             cand[np.arange(len(cp)), cv] = True
             exact = objective_from_mask(g, cand, scale)

@@ -449,6 +449,9 @@ class TestEnforcement:
         table[0, 1, 0] = 1.0
         stuck = dataclasses.replace(result, strategy=LeaderStrategy(0, table))
         assert not splits_transient(shape, table)
+        # a copy reads its own strategy, not the lumpability cached on
+        # the result it was copied from
+        assert result.lumpable and not stuck.lumpable
         outsiders = random_outsiders(shape, np.random.default_rng(4))
         pi_a, pi_out = full_chain_payoffs(stuck, outsiders)
         assert verify_enforcement(stuck, outsiders) == abs(

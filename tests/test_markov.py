@@ -105,6 +105,15 @@ class TestBuildMatrix:
         with pytest.raises(ValueError):
             strat.table[0, 0, 0] = 0.9
 
+    def test_per_shape_indices_are_read_only(self):
+        # every chain of one shape reads the same cached arrays
+        plan = markov._chain_plan((2, 1), 2)
+        assert plan.acted.shape == plan.gathers[2:].shape == (2, 16)
+        assert markov._chain_plan((1,), 0).acted.shape == (0, 2)
+        for array in (plan.leader_coops, plan.acted, plan.gathers,
+                      plan.splits, *markov._pivot_columns(4, 1)):
+            assert not array.flags.writeable
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data(), coupling=st.booleans())
     def test_matches_scalar_oracle(self, data, coupling):

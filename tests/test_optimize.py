@@ -150,14 +150,16 @@ class TestExhaustive:
         assert dep.zd_nodes == best_set
         assert score == pytest.approx(best, rel=1e-12)
 
-    # block sizes in mask elements: one subset, a few subsets, the default
+    # block sizes in mask elements: one subset, a few subsets, the default;
+    # candidates are re-scored in chunks of as many rows as a block has
     @pytest.mark.parametrize("block", [1, 40, 8192])
     @pytest.mark.parametrize("graph", [("ring", 8, 0), ("ring", 11, 0),
                                        ("star", 9, 0), ("star", 12, 0),
                                        ("mesh", 10, 1), ("mesh", 12, 4)])
     def test_matches_sequential_reference(self, monkeypatch, graph, block):
-        monkeypatch.setattr(optimize, "EXHAUSTIVE_BLOCK", block, raising=False)
         g = generate(*graph)
+        monkeypatch.setattr(optimize, "EXHAUSTIVE_BLOCK", block, raising=False)
+        monkeypatch.setattr(optimize, "RESCORE_ROWS", max(1, block // g.n))
         for k in range(1, g.n):
             dep, score = optimize_exhaustive(g, k, SCALE)
             best_set, best = sequential_exhaustive(g, k)
@@ -195,6 +197,7 @@ class TestExhaustive:
         monkeypatch.setattr(optimize, "_extension_scores",
                             fake_extension_scores)
         monkeypatch.setattr(optimize, "EXHAUSTIVE_BLOCK", block, raising=False)
+        monkeypatch.setattr(optimize, "RESCORE_ROWS", max(1, block // g.n))
         # bumps in units of the 1e-12 relative tie margin; the first chain
         # keeps the second subset although later ones score higher
         rng = np.random.default_rng(block)
@@ -219,6 +222,24 @@ class TestExhaustive:
             assert dep.zd_nodes == best_set and score == best
             if i == 0:
                 assert best_set == frozenset(order[5])
+
+    def test_rescores_in_fixed_chunks(self, monkeypatch):
+        # a tree's many alike leaves leave 1,525 near-tied candidates to
+        # re-score: 11 kernel calls of up to RESCORE_ROWS rows, where chunks
+        # of EXHAUSTIVE_BLOCK // V = 27 rows took 59
+        g = generate("tree", 300, seed=1)
+        rows = []
+
+        def spy(g, masks, scale):
+            rows.append(len(masks))
+            return objective_from_mask(g, masks, scale)
+
+        monkeypatch.setattr(optimize, "objective_from_mask", spy)
+        dep, score = optimize_exhaustive(g, 2, SCALE)
+        assert len(rows) == 11 and max(rows) == optimize.RESCORE_ROWS
+        best_set, best = sequential_exhaustive(g, 2)
+        assert dep.zd_nodes == best_set
+        assert score == pytest.approx(best, rel=1e-12)
 
     @pytest.mark.parametrize("graph", ["complete", "star", "mesh"])
     def test_approximations_within_bound(self, graph):
