@@ -16,10 +16,10 @@ import numpy as np
 
 from .errors import InfeasibleError
 from .game import (COOPERATE, GameShape, count_cells, count_payoffs,
-                   lumped_payoff_vectors, payoff_vectors)
+                   lumped_payoff_vectors)
 from .markov import (FollowerStrategy, LeaderStrategy, build_lumped_matrix,
-                     build_transition_matrix, check_players, expected_payoffs,
-                     leader_table_shape, splits_transient, stationary)
+                     check_lumped, check_players, expected_payoffs,
+                     leader_table_shape, stationary)
 
 
 @dataclass(frozen=True)
@@ -53,18 +53,13 @@ class SynthesisResult:
 
     @functools.cached_property
     def f_vector(self) -> np.ndarray:
-        """f per state of the full chain, read-only, built on first read."""
+        """f per state of the full chain, read-only, built on first read;
+        a game of over ``MAX_PLAYERS`` players is refused first."""
         shape = self.params.shape
+        check_players(shape)
         f = self.f_counts[count_cells(shape.n_players, shape.n_alliance, 1)]
         f.flags.writeable = False
         return f
-
-    @functools.cached_property
-    def lumpable(self) -> bool:
-        """Whether the coupled chain's split states are transient
-        (``splits_transient``), so that it solves lumped; built on first
-        read."""
-        return splits_transient(self.params.shape, self.strategy.table)
 
 
 def alliance_admissible(shape: GameShape) -> bool:
@@ -149,11 +144,12 @@ def synthesize(params: ZDParams) -> SynthesisResult:
     when the alliance is split default to 0 (unreachable under coupling).
     A baseline up to 1e-9 beyond an end of ``feasible_l_range`` is
     synthesized at that end; the certificate still measures the relation
-    at the baseline asked for. A game over ``MAX_PLAYERS`` players is
-    refused first, before any work that grows with N.
+    at the baseline asked for. A game of over ``MAX_OUTSIDERS`` outsiders
+    or ``MAX_LUMPED_PLAYERS`` players is refused first, before any work
+    that grows with N.
     """
     shape = params.shape
-    check_players(shape)
+    check_lumped(shape)
     chi, l = params.chi, params.l
     l_min, l_max = feasible_l_range(chi, shape)
     if not l_min - 1e-9 <= l <= l_max + 1e-9:
@@ -186,8 +182,7 @@ def synthesize(params: ZDParams) -> SynthesisResult:
     strategy = _alliance_strategy(shape, f, phi)
     result = SynthesisResult(strategy, f_counts, f, phi, interval, math.nan,
                              params)
-    # nothing else holds the result yet, so the certificate is set in
-    # place: a copy would read the strategy's lumpability again
+    # nothing else holds the result yet, so the certificate is set in place
     object.__setattr__(result, "certificate",
                        verify_enforcement(result, _default_outsiders(shape)))
     return result
@@ -246,30 +241,23 @@ def random_outsiders(shape: GameShape, rng):
 
 
 def stationary_payoffs(result: SynthesisResult, outsider_strategies):
-    """Expected per-round payoffs (alliance, outsiders) of the coupled
-    chain at stationarity.
+    """Expected per-round payoffs (alliance, outsiders) at stationarity of
+    the coupled chain, with the alliance starting in unison.
 
     ``outsider_strategies`` lists strategies for players n_alliance..N-1
-    in order: non-alliance leaders first, then followers. The chain is
-    solved lumped onto unison alliance states when its split states are
-    transient, and in full otherwise.
+    in order: non-alliance leaders first, then followers. Coupled members
+    in a unison state draw one coin, so the alliance stays in unison and
+    the chain is solved lumped onto its unison states
+    (``build_lumped_matrix``).
     """
     shape = result.params.shape
     n_out_leaders = shape.n_leaders - shape.n_alliance
     if len(outsider_strategies) != shape.n_players - shape.n_alliance:
         raise ValueError("need one strategy per outsider")
-    out_leaders = list(outsider_strategies[:n_out_leaders])
-    followers = list(outsider_strategies[n_out_leaders:])
-
-    if result.lumpable:
-        tm = build_lumped_matrix(shape, [result.strategy] + out_leaders,
-                                 followers)
-        payoffs = lumped_payoff_vectors(shape)
-    else:
-        leaders = [result.strategy] * shape.n_alliance + out_leaders
-        tm = build_transition_matrix(shape, leaders, followers, coupling=True)
-        payoffs = payoff_vectors(shape)
-    return expected_payoffs(stationary(tm), payoffs)
+    tm = build_lumped_matrix(
+        shape, [result.strategy, *outsider_strategies[:n_out_leaders]],
+        list(outsider_strategies[n_out_leaders:]))
+    return expected_payoffs(stationary(tm), lumped_payoff_vectors(shape))
 
 
 def verify_enforcement(result: SynthesisResult, outsider_strategies) -> float:

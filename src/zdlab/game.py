@@ -144,7 +144,7 @@ def count_payoffs(shape: GameShape) -> PayoffVectors:
     return PayoffVectors(*tables)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def count_cells(n_bits: int, n_members: int, weight: int):
     """Read-only cells ``(k, b)`` in :func:`count_payoffs` of the states of
     ``n_bits`` bits whose low ``n_members`` bits count ``weight`` members

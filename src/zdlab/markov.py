@@ -18,6 +18,10 @@ from .game import GameShape, PayoffVectors, state_bits
 
 MAX_PLAYERS = 10
 MAX_DETERMINANT_PLAYERS = 8
+# Caps of the alliance-lumped chain: 2^(outsiders + 1) states, and payoff
+# tables that grow with N.
+MAX_OUTSIDERS = 9
+MAX_LUMPED_PLAYERS = 1024
 
 # Largest chain solved directly before any power sweep: above it one
 # dense solve costs more than power iteration (timings in README.md).
@@ -115,13 +119,21 @@ class StationaryVector:
 
 
 def check_players(shape: GameShape):
-    """Refuse a game of over ``MAX_PLAYERS`` players."""
+    """Refuse a full chain of over ``MAX_PLAYERS`` players."""
     if shape.n_players > MAX_PLAYERS:
         raise ValueError(f"state space capped at {MAX_PLAYERS} players")
 
 
+def check_lumped(shape: GameShape):
+    """Refuse a lumped chain of over ``MAX_OUTSIDERS`` outsiders, or a game
+    of over ``MAX_LUMPED_PLAYERS`` players."""
+    if shape.n_players - shape.n_alliance > MAX_OUTSIDERS:
+        raise ValueError(f"state space capped at {MAX_OUTSIDERS} outsiders")
+    if shape.n_players > MAX_LUMPED_PLAYERS:
+        raise ValueError(f"game capped at {MAX_LUMPED_PLAYERS} players")
+
+
 def _check_strategies(shape, leaders, followers, n_leaders):
-    check_players(shape)
     if len(leaders) != n_leaders or len(followers) != shape.n_followers:
         raise ValueError("need exactly one strategy per player")
     dims = leader_table_shape(shape)
@@ -143,6 +155,7 @@ def build_transition_matrix(shape: GameShape, leaders, followers,
     cooperation probability draw one coin together, so they realize
     identical actions and split alliance outcomes get zero mass.
     """
+    check_players(shape)
     _check_strategies(shape, leaders, followers, shape.n_leaders)
     weights = (1,) * shape.n_leaders
     n_tied = shape.n_alliance if coupling else 0
@@ -157,33 +170,16 @@ def build_lumped_matrix(shape: GameShape, leaders,
 
     ``leaders[0]`` is the strategy the alliance shares and moves on bit 0
     of a lumped state as one mover counting n_alliance cooperators;
-    ``leaders[1:]`` are the outsider leaders. Exact when the split states
-    of the coupled chain are transient (``splits_transient``).
+    ``leaders[1:]`` are the outsider leaders. Exact from any unison start:
+    coupled members in a unison state draw one coin, so the coupled chain
+    never leaves its unison states.
     """
+    check_lumped(shape)
     n_movers = shape.n_leaders - shape.n_alliance + 1
     _check_strategies(shape, leaders, followers, n_movers)
     weights = (shape.n_alliance,) + (1,) * (n_movers - 1)
     matrix = _chain(weights, leaders, followers, 0)
     return TransitionMatrix(matrix, shape)
-
-
-def splits_transient(shape: GameShape, table) -> bool:
-    """Whether every split alliance state of the coupled chain reunites in
-    one step with positive probability, for alliance table ``table``.
-
-    With k members cooperating (0 < k < n_alliance), u outsider leaders
-    cooperating and y followers cooperating, the cooperating members draw
-    one coin with ``table[1, k-1+u, y]`` and the defecting ones one with
-    ``table[0, k+u, y]``; they can only stay split if one coin is 0 and
-    the other 1. As k - 1 + u runs over 0..n_leaders-2, the coin pairs are
-    ``table[1, x, y]`` against ``table[0, x+1, y]`` for every such x and
-    every y: the slices ``table[1, :-1]`` and ``table[0, 1:]``. An
-    alliance of one has no split states.
-    """
-    if shape.n_alliance < 2:
-        return True
-    p_c, p_d = table[1, :-1], table[0, 1:]
-    return not ((p_c == 0.0) & (p_d == 1.0) | (p_c == 1.0) & (p_d == 0.0)).any()
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +193,7 @@ class _ChainPlan:
     splits: np.ndarray
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _chain_plan(weights: tuple, n_followers: int) -> _ChainPlan:
     """Index arrays of the chain over leader movers with ``weights``, then
     ``n_followers`` followers:

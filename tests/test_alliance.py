@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import inspect
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,9 +19,8 @@ from zdlab.alliance import (ZDParams, _default_outsiders, _phi_interval,
 from zdlab.errors import InfeasibleError
 from zdlab.game import (GameShape, count_cells, count_payoffs, payoff_vectors,
                         state_bits)
-from zdlab.markov import (LeaderStrategy, build_transition_matrix,
-                          expected_payoffs, splits_transient, stationary,
-                          zd_determinant)
+from zdlab.markov import (FollowerStrategy, LeaderStrategy, TransitionMatrix,
+                          build_transition_matrix, stationary, zd_determinant)
 
 FIG_SHAPE = GameShape(3, 2, 2, 9.0)
 
@@ -92,14 +92,31 @@ def f_tables(draw):
 
 
 def full_chain_payoffs(result, outsiders):
-    """Expected payoffs on the full 2^N coupled chain."""
+    """Expected payoffs on the full 2^N coupled chain started in unison:
+    the chain restricted to its unison states, whose rows are first
+    checked to sum to 1 (the alliance never leaves them)."""
     shape = result.params.shape
     n_out_leaders = shape.n_leaders - shape.n_alliance
     leaders = ([result.strategy] * shape.n_alliance
                + list(outsiders[:n_out_leaders]))
-    tm = build_transition_matrix(shape, leaders, list(outsiders[n_out_leaders:]),
-                                 coupling=True)
-    return expected_payoffs(stationary(tm), payoff_vectors(shape))
+    full = build_transition_matrix(shape, leaders,
+                                   list(outsiders[n_out_leaders:]),
+                                   coupling=True).matrix
+    low = (1 << shape.n_alliance) - 1
+    unison = [s for s in range(shape.n_states) if s & low in (0, low)]
+    m = full[np.ix_(unison, unison)]
+    np.testing.assert_allclose(m.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    v = stationary(TransitionMatrix(m, shape)).vector
+    pv = payoff_vectors(shape)
+    return float(v @ pv.alliance[unison]), float(v @ pv.outsiders[unison])
+
+
+def pure_outsiders(outsiders):
+    """``outsiders`` with every probability rounded to 0 or 1."""
+    return [LeaderStrategy(s.owner, np.round(s.table))
+            if isinstance(s, LeaderStrategy)
+            else FollowerStrategy(s.owner, np.round(s.probs))
+            for s in outsiders]
 
 
 class TestAdmissibility:
@@ -233,8 +250,8 @@ class TestSynthesis:
             assert result.f_vector[state] == pytest.approx(result.f_unison[key])
 
     def test_f_vector_built_only_when_read(self, monkeypatch):
-        # split states of this game are transient, so the certificate runs
-        # on the lumped chain: nothing in synthesize needs the 2^N states
+        # the certificate runs on the lumped chain: nothing in synthesize
+        # needs the 2^N states
         shape, chi, l = GameShape(6, 5, 4, 15.0), 0.3, 9.0
         sizes, cells = [], []
 
@@ -254,7 +271,6 @@ class TestSynthesis:
         monkeypatch.setattr(game, "count_cells", spy_cells)
         monkeypatch.setattr(alliance, "count_cells", spy_cells)
         monkeypatch.setattr(game, "payoff_vectors", no_vectors)
-        monkeypatch.setattr(alliance, "payoff_vectors", no_vectors)
         result = synthesize(ZDParams(chi, l, shape))
         assert shape.n_players not in sizes
         assert all(n_bits < shape.n_players for n_bits, _, _ in cells)
@@ -266,6 +282,20 @@ class TestSynthesis:
         pv = payoff_vectors(shape)
         assert f.tobytes() == (chi * (pv.alliance - l)
                                - (pv.outsiders - l)).tobytes()
+
+    def test_f_vector_refused_over_player_cap(self):
+        # at N = 200 the full chain's f would take 2^200 entries: refused
+        # by the full chain's cap before any table is built
+        result = synthesize(ZDParams(0.0, 200.0,
+                                     GameShape(200, 199, 199, 403.0)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="capped at 10 players"):
+                result.f_vector
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_f_vector_gathers_count_table(self):
         # every admissible split of N <= 10: f per state is the count table
@@ -352,19 +382,15 @@ class TestEnforcement:
     def test_small_lumped_chains_solved_to_rounding(self):
         # lumped verifies on chains of up to 64 states take the direct
         # solve: every residual stays at rounding level, where power
-        # iteration left up to about 1e-10 on slow-mixing chains. N stops
-        # at 9: at N = 10 the l_max strategies whose certificate falls back
-        # to the 2^10 chain would take 3 s.
+        # iteration left up to about 1e-10 on slow-mixing chains
         checked = 0
         for shape in dict.fromkeys(
                 s for s in GRID_SHAPES if s.r == 2 * s.n_players + 3
-                and s.n_players - s.n_alliance <= 5 and s.n_players <= 9):
+                and s.n_players - s.n_alliance <= 5):
             for chi in (0.0, 0.3, 0.6, 0.9):
                 l_min, l_max = feasible_l_range(chi, shape)
                 for l in (l_min, (l_min + l_max) / 2, l_max):
                     result = synthesize(ZDParams(chi, l, shape))
-                    if not splits_transient(shape, result.strategy.table):
-                        continue
                     assert result.certificate <= 1e-12
                     rng = np.random.default_rng([shape.n_players,
                                                  shape.n_leaders,
@@ -373,7 +399,7 @@ class TestEnforcement:
                         assert verify_enforcement(
                             result, random_outsiders(shape, rng)) <= 1e-12
                     checked += 1
-        assert checked > 600
+        assert checked == 960
 
     def test_wrong_target_detected(self):
         result = synthesize(ZDParams(0.0, 4.0, FIG_SHAPE))
@@ -431,31 +457,34 @@ class TestEnforcement:
         for frac in (0.25, 0.75):
             result = synthesize(ZDParams(chi, l_min + frac * (l_max - l_min),
                                          shape))
-            assert splits_transient(shape, result.strategy.table)
             outsiders = random_outsiders(shape, rng)
             np.testing.assert_allclose(stationary_payoffs(result, outsiders),
                                        full_chain_payoffs(result, outsiders),
                                        rtol=0, atol=1e-9)
 
-    def test_full_chain_fallback(self):
-        shape = GameShape(4, 3, 2, 11.0)
-        result = synthesize(ZDParams(0.3, 6.0, shape))
-        assert splits_transient(shape, result.strategy.table)
-        # with one member cooperating, no outsider cooperating: the
-        # cooperator's coin table[1, 0, 0] is 0 (a split-only index) and the
-        # defector's table[0, 1, 0] is set to 1, so that split persists
-        table = result.strategy.table.copy()
-        assert table[1, 0, 0] == 0.0
-        table[0, 1, 0] = 1.0
-        stuck = dataclasses.replace(result, strategy=LeaderStrategy(0, table))
-        assert not splits_transient(shape, table)
-        # a copy reads its own strategy, not the lumpability cached on
-        # the result it was copied from
-        assert result.lumpable and not stuck.lumpable
-        outsiders = random_outsiders(shape, np.random.default_rng(4))
-        pi_a, pi_out = full_chain_payoffs(stuck, outsiders)
-        assert verify_enforcement(stuck, outsiders) == abs(
-            pi_out - 0.3 * pi_a - 0.7 * 6.0)
+    def test_matches_unison_oracle_on_every_split(self):
+        # every admissible split of N <= 8 at r = 2N + 3, at both ends and
+        # the middle of the range: the lumped chain against the full
+        # coupled chain from a unison start, for an interior outsider draw
+        # and a pure one (rounded to 0s and 1s), whose 2^N chain can hold
+        # closed classes of split states
+        checked = 0
+        for shape in dict.fromkeys(s for s in GRID_SHAPES if s.n_players <= 8
+                                   and s.r == 2 * s.n_players + 3):
+            rng = np.random.default_rng([shape.n_players, shape.n_leaders,
+                                         shape.n_alliance])
+            for chi in (0.0, 0.3):
+                l_min, l_max = feasible_l_range(chi, shape)
+                for l in (l_min, (l_min + l_max) / 2, l_max):
+                    result = synthesize(ZDParams(chi, l, shape))
+                    interior = random_outsiders(shape, rng)
+                    for outsiders in (interior, pure_outsiders(interior)):
+                        np.testing.assert_allclose(
+                            stationary_payoffs(result, outsiders),
+                            full_chain_payoffs(result, outsiders),
+                            rtol=0, atol=1e-12)
+                        checked += 1
+        assert checked == 552
 
     def test_default_outsiders_cached(self):
         shape = GameShape(5, 4, 3, 13.0)
@@ -467,16 +496,48 @@ class TestEnforcement:
         assert all((t == 0.5).all() and not t.flags.writeable for t in tables)
 
     def test_shape_caches_bounded_across_r(self):
-        # a shape includes r, so a scan over r must not keep every table
+        # a shape includes r, so a scan over r must not keep every table;
+        # the lumped chain's plan and cells are keyed by the alliance size,
+        # so neither may a scan over alliance sizes up to N = 200
         for i in range(200):
             shape = GameShape(4, 3, 3, 10.0 + 0.25 * i)
             lo, hi = feasible_l_range(0.0, shape)
             synthesize(ZDParams(0.0, (lo + hi) / 2, shape))
+        for na in range(100, 200):
+            shape = GameShape(na + 1, na, na, 2.0 * na + 5.0)
+            lo, hi = feasible_l_range(0.0, shape)
+            synthesize(ZDParams(0.0, (lo + hi) / 2, shape))
         for cached in (game.count_payoffs, game.payoff_vectors,
-                       game.lumped_payoff_vectors,
-                       alliance._strategy_indices,
+                       game.lumped_payoff_vectors, game.count_cells,
+                       markov._chain_plan, alliance._strategy_indices,
                        alliance._default_outsiders):
             assert cached.cache_info().currsize <= 64, cached.__name__
+
+    @pytest.mark.parametrize("dims", [(40, 36, 35), (200, 199, 199)])
+    def test_large_games_without_full_chain(self, monkeypatch, dims):
+        # the lumped chain of 2^(outsiders + 1) states is all that synth
+        # and verify build: no table of the 2^N states is made
+        n = dims[0]
+        shape = GameShape(*dims, 2.0 * n + 3.0)
+        sizes = []
+
+        def spy_bits(n_bits):
+            sizes.append(n_bits)
+            return state_bits(n_bits)
+
+        monkeypatch.setattr(game, "state_bits", spy_bits)
+        monkeypatch.setattr(markov, "state_bits", spy_bits)
+        game.count_cells.cache_clear()
+        markov._chain_plan.cache_clear()
+        rng = np.random.default_rng(n)
+        for chi in (0.0, 0.3):
+            l_min, l_max = feasible_l_range(chi, shape)
+            for l in (l_min, (l_min + l_max) / 2, l_max):
+                result = synthesize(ZDParams(chi, l, shape))
+                assert result.certificate <= 1e-8
+                assert verify_enforcement(
+                    result, random_outsiders(shape, rng)) <= 1e-8
+        assert sizes and max(sizes) <= 10
 
     def test_outsider_count_checked(self):
         result = synthesize(ZDParams(0.0, 4.0, FIG_SHAPE))

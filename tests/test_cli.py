@@ -8,6 +8,7 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -28,6 +29,9 @@ from zdlab.cli import (CSV_VERSION, SWEEP_COLUMNS, load_config, main,
 from zdlab.errors import ConfigError, ConvergenceError
 from zdlab.game import GameShape
 from zdlab.graphs import Graph
+
+OUTSIDER_CAP = "state space capped at 9 outsiders"
+PLAYER_CAP = "game capped at 1024 players"
 
 
 def base_config(tmp_path=None, **overrides):
@@ -510,36 +514,48 @@ class TestMain:
         assert err.startswith("error: ") and str(out) in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
-    # l is the midpoint of feasible_l_range(0.0, ...); the refusal comes
-    # before any table that grows with N, such as the (N, N + 1) payoffs
-    # by cooperator counts, is built
-    @pytest.mark.parametrize("command, players, r, l", [
-        ("synth", 11, 25, 5), ("verify", 11, 25, 5),
-        ("synth", 20, 43, 22), ("verify", 20, 43, 22),
-        ("synth", 64, 131, 66), ("verify", 64, 131, 66),
-        ("synth", 2000, 4003, 2002), ("verify", 2000, 4003, 2002),
+    # the lumped chain is capped at 9 outsiders and the game at 1,024
+    # players; the refusal comes before any table that grows with N, such
+    # as the (alliance + 1, N + 1) payoffs by cooperator counts, is built
+    @pytest.mark.parametrize("command, players, alliance, message", [
+        ("synth", 11, 1, OUTSIDER_CAP), ("verify", 11, 1, OUTSIDER_CAP),
+        ("synth", 20, 10, OUTSIDER_CAP), ("verify", 20, 10, OUTSIDER_CAP),
+        ("synth", 64, 1, OUTSIDER_CAP), ("verify", 64, 1, OUTSIDER_CAP),
+        ("synth", 1025, 1024, PLAYER_CAP), ("verify", 1025, 1024, PLAYER_CAP),
+        ("synth", 2000, 1999, PLAYER_CAP), ("verify", 2000, 1999, PLAYER_CAP),
     ], ids=["synth", "verify", "synth-20", "verify-20", "synth-64",
-            "verify-64", "synth-2000", "verify-2000"])
-    def test_player_cap_exit_code(self, capsys, command, players, r, l):
+            "verify-64", "synth-1025", "verify-1025", "synth-2000",
+            "verify-2000"])
+    def test_player_cap_exit_code(self, capsys, command, players, alliance,
+                                  message):
         tracemalloc.start()
         try:
             rc = main([command, "--players", str(players),
-                       "--alliance", str(players - 1), "--r", str(r),
-                       "--chi", "0", "--l", str(l)])
+                       "--alliance", str(alliance), "--r",
+                       str(2 * players + 3), "--chi", "0", "--l",
+                       str(players + 2)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert rc == 2
         err = capsys.readouterr().err
-        assert err == "error: state space capped at 10 players\n"
+        assert err == f"error: {message}\n"
         assert peak < 4 * 2**20
 
     def test_player_cap_precedes_feasibility(self, capsys):
         # this game is infeasible too, but its size is refused first
         assert main(["synth", "--players", "11", "--alliance", "1",
                      "--r", "2", "--l", "1"]) == 2
-        assert capsys.readouterr().err == (
-            "error: state space capped at 10 players\n")
+        assert capsys.readouterr().err == f"error: {OUTSIDER_CAP}\n"
+
+    def test_one_outsider_at_n200(self, capsys):
+        # N = 200 with one outsider: a 4-state lumped chain
+        shape = ["--players", "200", "--alliance", "199", "--r", "403",
+                 "--chi", "0", "--l", "150"]
+        assert main(["synth", *shape]) == 0
+        assert json.loads(capsys.readouterr().out)["residual"] <= 1e-8
+        assert main(["verify", *shape]) == 0
+        assert float(capsys.readouterr().out.split()[-1]) <= 1e-8
 
     def test_exhaustive_cap_exit_code(self, tmp_path, capsys):
         gpath = str(tmp_path / "mesh80.txt")
@@ -770,6 +786,24 @@ class TestMain:
         residual = float(capsys.readouterr().out.split()[-1])
         assert residual <= 1e-8
 
+    # pure outsiders at l_max of (3, 3, 2, r 9): on the full 2^N chain from
+    # the uniform vector, the first read 2.5e-1 (closed classes of split
+    # alliance states) and the second spun for 3 s, then exited 4
+    @pytest.mark.parametrize("coop_low", [1, 0], ids=["split-class",
+                                                       "periodic"])
+    def test_pure_outsider_verifies(self, tmp_path, capsys, coop_low):
+        table = {"[0, 0, 0]": 1, "[0, 1, 0]": 0, "[0, 2, 0]": 1,
+                 "[1, 0, 0]": coop_low, "[1, 1, 0]": 1, "[1, 2, 0]": 0}
+        path = tmp_path / "outsiders.json"
+        path.write_text(json.dumps({"leaders": [table], "followers": []}))
+        start = time.perf_counter()
+        assert main(["verify", "--players", "3", "--leaders", "3",
+                     "--alliance", "2", "--r", "9", "--chi", "0", "--l", "7",
+                     "--outsider-file", str(path)]) == 0
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert err == "" and float(out.split()[-1]) <= 1e-8
+
     def test_opt_computes_no_betweenness(self, tmp_path, monkeypatch, capsys):
         def refuse(adj, sources):
             raise AssertionError("zdlab opt computed betweenness")
@@ -935,7 +969,9 @@ SCALE_OPTIONS = {"--scale-a": (["2", "0"], FLOAT + ["1e307"]),
                  "--scale-k": (["1", "2"], SIZE),
                  "--scale-b": (["3"], FLOAT)}
 SHAPE_OPTIONS = {
-    "--players": (["3", "4"], SIZE + [str(zdlab.markov.MAX_PLAYERS + 1)]),
+    "--players": (["3", "4"], SIZE + [
+        str(zdlab.markov.MAX_OUTSIDERS + 3),
+        str(zdlab.markov.MAX_LUMPED_PLAYERS + 1)]),
     "--alliance": (["2", "3"], SIZE), "--leaders": (["3"], SIZE),
     "--r": (["9", "23"], FLOAT), "--chi": (["0", "0.3"], FLOAT),
     "--l": (["5", "9"], FLOAT), "--phi": (["0.1", "-0.1"], FLOAT),

@@ -13,8 +13,7 @@ from zdlab.game import GameShape, payoff_vectors, state_bits
 from zdlab.markov import (FollowerStrategy, LeaderStrategy,
                           build_lumped_matrix, build_transition_matrix,
                           determinant_dot, expected_payoffs,
-                          leader_table_shape, splits_transient, stationary,
-                          zd_determinant)
+                          leader_table_shape, stationary, zd_determinant)
 
 FIG_SHAPE = GameShape(3, 2, 2, 9.0)
 
@@ -198,7 +197,8 @@ class TestLumpedChain:
         nl = data.draw(st.integers(1, n), "n_leaders")
         na = data.draw(st.integers(1, min(nl, n - 1)), "n_alliance")
         shape = GameShape(n, nl, na, 2.0 * n + 3.0)
-        # 0 and 1 entries make split states that never reunite common
+        # 0 and 1 entries make split states that never reunite common,
+        # but the unison states stay closed
         prob = st.sampled_from([0.0, 0.25, 0.5, 0.7, 1.0])
         dims = leader_table_shape(shape)
         movers = [LeaderStrategy(i, np.reshape([data.draw(prob) for _ in
@@ -214,11 +214,11 @@ class TestLumpedChain:
         # lumped state: bit 0 the alliance's action, then the outsiders
         unison = [(s & 1) * ((1 << na) - 1) | (s >> 1) << na
                   for s in range(2 ** (n - na + 1))]
-        np.testing.assert_allclose(lumped.matrix, full[np.ix_(unison, unison)],
-                                   rtol=0, atol=1e-15)
-        split = np.setdiff1d(np.arange(shape.n_states), unison)
-        reunites = full[np.ix_(split, unison)].sum(axis=1) > 0
-        assert splits_transient(shape, movers[0].table) == reunites.all()
+        restricted = full[np.ix_(unison, unison)]
+        np.testing.assert_allclose(restricted.sum(axis=1), 1.0, rtol=0,
+                                   atol=1e-15)
+        np.testing.assert_allclose(lumped.matrix, restricted, rtol=0,
+                                   atol=1e-15)
 
     def test_determinant_needs_full_chain(self):
         leaders = [LeaderStrategy.constant(0, FIG_SHAPE, 0.5)]
@@ -228,12 +228,23 @@ class TestLumpedChain:
             zd_determinant(tm, np.ones(FIG_SHAPE.n_states), 0)
 
     def test_player_cap(self):
+        # the lumped chain refuses 10 outsiders, then N over the cap with
+        # one outsider; the full chain stays capped at 10 players
+        cases = [((11, 1, 1), "state space capped at 9 outsiders"),
+                 ((1025, 1024, 1024), "game capped at 1024 players"),
+                 ((2000, 1999, 1999), "game capped at 1024 players")]
+        for dims, message in cases:
+            shape = GameShape(*dims, 2.0 * dims[0] + 3.0)
+            leaders = [LeaderStrategy.constant(0, shape, 0.5)]
+            followers = [FollowerStrategy.constant(j, shape, 0.5)
+                         for j in range(shape.n_leaders, shape.n_players)]
+            with pytest.raises(ValueError, match=message):
+                build_lumped_matrix(shape, leaders, followers)
         shape = GameShape(11, 10, 10, 25.0)
-        leaders = [LeaderStrategy.constant(0, shape, 0.5)]
+        leaders = [LeaderStrategy.constant(i, shape, 0.5) for i in range(10)]
         followers = [FollowerStrategy.constant(10, shape, 0.5)]
         with pytest.raises(ValueError, match="capped at 10 players"):
-            build_lumped_matrix(shape, leaders, followers)
-
+            build_transition_matrix(shape, leaders, followers)
 
 def reference_stationary(tm, missed=None):
     """Reference for :func:`stationary`: a first-try dense solve on chains
