@@ -18,7 +18,7 @@ class ExhaustiveCapError(ZdlabError):
 
 
 class ConvergenceError(ZdlabError):
-    """Stationary solver failed to converge (CLI exit code 4)."""
+    """Stationary solve missed its residual target (CLI exit code 4)."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

@@ -23,14 +23,8 @@ MAX_DETERMINANT_PLAYERS = 8
 MAX_OUTSIDERS = 9
 MAX_LUMPED_PLAYERS = 1024
 
-# Largest chain solved directly before any power sweep: above it one
-# dense solve costs more than power iteration (timings in README.md).
-_DIRECT_STATES = 64
-# Power-iteration sweeps attempted before the dense linear-solve fallback.
-_POWER_BUDGET = 256
-# Stationary residual target and the total sweep limit.
+# Stationary residual target.
 _TOL = 1e-12
-_MAX_ITERS = 1_000_000
 
 
 def leader_table_shape(shape: GameShape):
@@ -107,15 +101,13 @@ class TransitionMatrix:
 
 @dataclass(frozen=True)
 class StationaryVector:
-    """Stationary distribution and how it was reached: ``path`` is
-    ``"power"`` or ``"dense"`` (a direct linear solve), ``iterations`` the
-    number of power sweeps made before it; ``"dense"`` with 0 iterations is
-    a small chain solved on the first try."""
+    """Stationary distribution and the solve that found it: ``path`` is
+    ``"dense"`` (``np.linalg.solve``, a chain with one closed class) or
+    ``"lstsq"`` (the minimum-norm solution, a chain with several)."""
 
     vector: np.ndarray
     residual: float
     path: str
-    iterations: int
 
 
 def check_players(shape: GameShape):
@@ -292,60 +284,43 @@ def _ties(splits, cond):
 def stationary(tm: TransitionMatrix) -> StationaryVector:
     """Stationary distribution with residual ``max|vM - v| <= _TOL``.
 
-    A chain of up to ``_DIRECT_STATES`` states is first solved directly
-    (``_dense_stationary``); a solve that meets the target is returned as
-    path ``"dense"`` with 0 iterations. Otherwise power iteration runs from
-    the uniform vector, checked every sweep: the first sweep whose step
-    ``max|vM - v|`` and residual both reach ``_TOL`` is returned, with its
-    number as ``iterations``. After ``_POWER_BUDGET`` sweeps, slow-mixing
-    chains get one more dense attempt; if it misses the target, power
-    iteration goes on from its vector. Deterministic given identical
-    inputs.
+    One direct solve of (M^T - I + 11^T) v = 1, whose solutions are exactly
+    the chain's stationary distributions; it is kept when it is finite,
+    nonnegative within 1e-12 (then clipped at 0 and normalized) and meets
+    the target, as path ``"dense"``. A chain with several closed classes
+    makes the system singular but consistent: the one fallback is the
+    minimum-norm solution of ``np.linalg.lstsq`` on the same system, a
+    positive mix of the closed classes' stationary vectors (their supports
+    are disjoint), with the same checks, as path ``"lstsq"``. Raises
+    ConvergenceError with the better attempt's residual when both miss.
     """
     m = tm.matrix
-    size = len(m)
-    if size <= _DIRECT_STATES:
-        sol, resid = _dense_attempt(m)
-        if resid <= _TOL:
-            return StationaryVector(sol, resid, "dense", 0)
-    v = np.full(size, 1.0 / size)
-    for sweep in range(_MAX_ITERS):
-        if sweep == _POWER_BUDGET:
-            sol, resid = _dense_attempt(m)
+    a = m.T + 1.0
+    a.flat[::len(m) + 1] -= 1.0
+    ones = np.ones(len(m))
+    best = np.inf
+    for path in ("dense", "lstsq"):
+        sol = _solution(a, ones, path)
+        if sol is not None:
+            resid = float(np.abs(sol @ m - sol).max())
             if resid <= _TOL:
-                return StationaryVector(sol, resid, "dense", sweep)
-            if sol is not None:
-                v = sol
-        nxt = v @ m
-        if np.abs(nxt - v).max() <= _TOL:
-            resid = float(np.abs(nxt @ m - nxt).max())
-            if resid <= _TOL:
-                return StationaryVector(nxt / nxt.sum(), resid, "power",
-                                        sweep + 1)
-        v = nxt
-    resid = float(np.abs(v @ m - v).max())
+                return StationaryVector(sol, resid, path)
+            best = min(best, resid)
     raise ConvergenceError(
-        f"stationary solve did not converge (residual {resid:.3e})", resid
+        f"stationary solve missed the residual target (best residual "
+        f"{best:.3e})", best
     )
 
 
-def _dense_attempt(m):
-    """``_dense_stationary`` and its residual ``max|vM - v|``; ``(None,
-    inf)`` when it finds no vector."""
-    sol = _dense_stationary(m)
-    if sol is None:
-        return None, np.inf
-    return sol, float(np.abs(sol @ m - sol).max())
-
-
-def _dense_stationary(m):
-    """Solution of (M^T - I + 11^T) v = 1, which is the stationary vector
-    of a chain with one closed class; None if the system is singular or the
-    solution is not finite and nonnegative within 1e-12."""
-    a = m.T + 1.0
-    a.flat[::len(m) + 1] -= 1.0
+def _solution(a, ones, path):
+    """Solution of ``a v = ones`` by ``np.linalg.solve`` (path ``"dense"``)
+    or ``np.linalg.lstsq``, clipped at 0 and normalized; None if the solve
+    fails or its solution is not finite and nonnegative within 1e-12."""
     try:
-        sol = np.linalg.solve(a, np.ones(len(m)))
+        if path == "dense":
+            sol = np.linalg.solve(a, ones)
+        else:
+            sol = np.linalg.lstsq(a, ones, rcond=None)[0]
     except np.linalg.LinAlgError:
         return None
     if not sol.min() >= -1e-12:  # also true on NaN

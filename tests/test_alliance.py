@@ -380,9 +380,9 @@ class TestEnforcement:
                     assert residual <= 1e-8
 
     def test_small_lumped_chains_solved_to_rounding(self):
-        # lumped verifies on chains of up to 64 states take the direct
-        # solve: every residual stays at rounding level, where power
-        # iteration left up to about 1e-10 on slow-mixing chains
+        # lumped verifies on chains of up to 64 states: the direct solve
+        # keeps every residual at rounding level, where power iteration
+        # left up to about 1e-10 on slow-mixing chains
         checked = 0
         for shape in dict.fromkeys(
                 s for s in GRID_SHAPES if s.r == 2 * s.n_players + 3
@@ -400,6 +400,16 @@ class TestEnforcement:
                             result, random_outsiders(shape, rng)) <= 1e-12
                     checked += 1
         assert checked == 960
+
+    @pytest.mark.parametrize("n", [20, 200, 1024])
+    def test_nine_outsiders_certified_at_range_ends(self, n):
+        # 1,024 lumped states, solved directly: a power loop stopped at an
+        # absolute step of 1e-12 left certificates that grew with the
+        # payoff scale, 9.9e-9 at N = 20 and 1.7e-7 at N = 200
+        shape = GameShape(n, n - 5, n - 9, 2.0 * n + 3.0)
+        for chi in (0.0, 0.3):
+            for l in feasible_l_range(chi, shape):
+                assert synthesize(ZDParams(chi, l, shape)).certificate <= 1e-8
 
     def test_wrong_target_detected(self):
         result = synthesize(ZDParams(0.0, 4.0, FIG_SHAPE))

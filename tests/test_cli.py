@@ -124,8 +124,8 @@ SYNTH_GOLDENS = [
 ]
 
 # `zdlab synth` digests (of SYNTH_GOLDENS and of the README examples in
-# test_synth_output_golden) that changed when chains of up to
-# markov._DIRECT_STATES states began to be solved directly: the
+# test_synth_output_golden) that changed when chains of up to 64 states,
+# then solved by power iteration, began to be solved directly: the
 # certificate (`residual`) moved in its last digits. The tests keep the
 # digests recorded before, which name them, and check the output against
 # the re-pinned value.

@@ -1,4 +1,10 @@
 import hashlib
+import os
+import pickle
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,55 +252,10 @@ class TestLumpedChain:
         with pytest.raises(ValueError, match="capped at 10 players"):
             build_transition_matrix(shape, leaders, followers)
 
-def reference_stationary(tm, missed=None):
-    """Reference for :func:`stationary`: a first-try dense solve on chains
-    of up to ``_DIRECT_STATES`` states, then the power loop with one
-    convergence check per sweep, reading the module's constants when
-    called. ``missed`` collects the sweeps whose step reached ``_TOL`` but
-    whose residual did not."""
-    m = tm.matrix
-    size = m.shape[0]
-    if size <= markov._DIRECT_STATES and markov._MAX_ITERS > 0:
-        sol = markov._dense_stationary(m)
-        if sol is not None:
-            resid = float(np.abs(sol @ m - sol).max())
-            if resid <= markov._TOL:
-                return markov.StationaryVector(sol, resid, "dense", 0)
-    v = np.full(size, 1.0 / size)
-    for sweep in range(markov._MAX_ITERS):
-        if sweep == markov._POWER_BUDGET:
-            sol = markov._dense_stationary(m)
-            if sol is not None:
-                resid = float(np.abs(sol @ m - sol).max())
-                if resid <= markov._TOL:
-                    return markov.StationaryVector(sol, resid, "dense", sweep)
-                v = sol
-        nxt = v @ m
-        if np.abs(nxt - v).max() <= markov._TOL:
-            resid = float(np.abs(nxt @ m - nxt).max())
-            if resid <= markov._TOL:
-                return markov.StationaryVector(nxt / nxt.sum(), resid,
-                                               "power", sweep + 1)
-            if missed is not None:
-                missed.append(sweep + 1)
-        v = nxt
-    resid = float(np.abs(v @ m - v).max())
-    raise ConvergenceError(
-        f"stationary solve did not converge (residual {resid:.3e})", resid
-    )
-
-
-def assert_same_stationary(got, expected):
-    assert got.vector.tobytes() == expected.vector.tobytes()
-    assert type(got.iterations) is int
-    assert (repr(got.residual), got.path, got.iterations) == (
-        repr(expected.residual), expected.path, expected.iterations)
-
 
 def _periodic_chain():
     # leaders cooperate iff no leader cooperated last round; the follower
     # copies the leaders, so the chain cycles all-defect <-> all-cooperate
-    # and power iteration never settles
     s, x, _ = np.indices(leader_table_shape(FIG_SHAPE))
     leaders = [LeaderStrategy(i, s + x == 0) for i in range(2)]
     followers = [FollowerStrategy(2, (0.0, 0.0, 1.0))]
@@ -311,33 +272,19 @@ def _reducible_chain():
     return build_transition_matrix(FIG_SHAPE, leaders, followers)
 
 
-def _failing_first(monkeypatch, count):
-    """Patch ``_dense_stationary`` to return None on its first ``count``
-    calls and to solve from then on; returns the list of calls made."""
-    dense = markov._dense_stationary
-    calls = []
-
-    def attempt(m):
-        calls.append(1)
-        return dense(m) if len(calls) > count else None
-
-    monkeypatch.setattr(markov, "_dense_stationary", attempt)
-    return calls
+def _system(m):
+    """The matrix M^T - I + 11^T that ``stationary`` solves."""
+    return m.T - np.eye(len(m)) + 1.0
 
 
 class TestStationary:
-    def test_uniform_chain(self, monkeypatch):
+    def test_uniform_chain(self):
         leaders = [LeaderStrategy.constant(i, FIG_SHAPE, 0.5) for i in range(2)]
         followers = [FollowerStrategy.constant(2, FIG_SHAPE, 0.5)]
-        tm = build_transition_matrix(FIG_SHAPE, leaders, followers)
-        # solved directly; with the first try off, in one power sweep
-        for direct, path, iterations in ((markov._DIRECT_STATES, "dense", 0),
-                                         (0, "power", 1)):
-            monkeypatch.setattr(markov, "_DIRECT_STATES", direct)
-            sv = stationary(tm)
-            assert np.allclose(sv.vector, 1 / 8)
-            assert sv.residual <= 1e-12
-            assert sv.path == path and sv.iterations == iterations
+        sv = stationary(build_transition_matrix(FIG_SHAPE, leaders, followers))
+        assert np.allclose(sv.vector, 1 / 8)
+        assert sv.residual <= 1e-12
+        assert sv.path == "dense"
 
     def test_all_defect_absorbing(self):
         leaders = [LeaderStrategy.constant(i, FIG_SHAPE, 0.0) for i in range(2)]
@@ -348,127 +295,106 @@ class TestStationary:
         assert np.allclose(sv.vector, expected, atol=1e-12)
 
     def test_periodic_chain_uses_dense_fallback(self, monkeypatch):
-        # solved directly, or by the dense attempt after _POWER_BUDGET
-        # sweeps when the first try is off
-        tm = _periodic_chain()
-        dense = markov._dense_stationary
+        # one closed class with period 2: the dense solve takes it, and
+        # the lstsq fallback is not called
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *args, **kw: calls.append(1)
+                            or lstsq(*args, **kw))
+        sv = stationary(_periodic_chain())
         expected = np.zeros(8)
         expected[[0, 7]] = 0.5
-        for direct, iterations in ((markov._DIRECT_STATES, 0),
-                                   (0, markov._POWER_BUDGET)):
-            monkeypatch.setattr(markov, "_DIRECT_STATES", direct)
-            calls = []
-            monkeypatch.setattr(markov, "_dense_stationary",
-                                lambda m: calls.append(1) or dense(m))
-            sv = stationary(tm)
-            assert calls == [1]
-            assert sv.path == "dense" and sv.iterations == iterations
-            assert np.allclose(sv.vector, expected, atol=1e-12)
-            assert sv.residual <= 1e-12
+        assert sv.path == "dense" and not calls
+        assert np.allclose(sv.vector, expected, atol=1e-12)
+        assert sv.residual <= 1e-12
 
     def test_reducible_chain_reject_the_solve(self):
-        # the direct system is singular, so power iteration runs as before
+        # the direct system is singular, so the minimum-norm solution
+        # weighs each closed class by 1 / |its stationary vector|^2
         tm = _reducible_chain()
-        assert markov._dense_stationary(tm.matrix) is None
+        assert markov._solution(_system(tm.matrix), np.ones(8),
+                                "dense") is None
         sv = stationary(tm)
-        assert sv.path == "power" and sv.iterations == 2
-        assert sv.vector.tolist() == [0.25, 0.125, 0.125, 0.0,
-                                      0.0, 0.125, 0.125, 0.25]
-        assert_same_stationary(sv, reference_stationary(tm))
+        assert sv.path == "lstsq" and sv.residual <= 1e-12
+        assert np.allclose(sv.vector, [1 / 6, 1 / 6, 1 / 6, 0.0,
+                                       0.0, 1 / 6, 1 / 6, 1 / 6],
+                           rtol=0.0, atol=1e-15)
+
+    def test_reducible_periodic_chain(self):
+        # state 0 leads into the cycle {1, 2}; {3, 4} and {6, 7} are
+        # cycles too and 5 is absorbing: four closed classes, three of
+        # them of period 2, which no power sweep settles on
+        m = np.zeros((8, 8))
+        for state, successor in ((0, 1), (1, 2), (2, 1), (3, 4), (4, 3),
+                                 (5, 5), (6, 7), (7, 6)):
+            m[state, successor] = 1.0
+        start = time.process_time()
+        sv = stationary(markov.TransitionMatrix(m, FIG_SHAPE))
+        assert time.process_time() - start < 1.0
+        assert sv.path == "lstsq" and sv.residual <= 1e-12
+        assert np.allclose(sv.vector, [0.0] + [1 / 7] * 7,
+                           rtol=0.0, atol=1e-14)
 
     def test_dense_rejects_negative_and_non_finite(self, monkeypatch):
+        # the same checks hold for the solve's and for lstsq's result
+        a = _system(_periodic_chain().matrix)
+        ones = np.ones(8)
+
+        def singular(*args, **kw):
+            raise np.linalg.LinAlgError("singular")
+
+        for path, name in (("dense", "solve"), ("lstsq", "lstsq")):
+            def returning(values, name=name):
+                sol = np.array(values)
+                return (lambda *args, **kw: sol if name == "solve"
+                        else (sol, None, 0, None))
+
+            for bad in ([0.5, -1e-11, 0.5], [np.nan, 0.5, 0.5],
+                        [np.inf, 0, 0], [0.0, 0.0, 0.0]):
+                monkeypatch.setattr(np.linalg, name, returning(bad))
+                assert markov._solution(a, ones, path) is None
+            monkeypatch.setattr(np.linalg, name,
+                                returning([0.5, -1e-13, 0.5]))
+            assert markov._solution(a, ones, path).tolist() == [0.5, 0.0,
+                                                                0.5]
+            monkeypatch.setattr(np.linalg, name, singular)
+            assert markov._solution(a, ones, path) is None
+
+    @pytest.mark.parametrize("seed", [0, 5, 37, 300])
+    @pytest.mark.parametrize("miss", [1, 3, 16])
+    def test_convergence_error_residual(self, monkeypatch, miss, seed):
+        # both solves patched to miss: the error carries the residual of
+        # the better of the two attempts, here a vector ``miss`` * 1e-9 off
+        # the chain's stationary one and a random one drawn from ``seed``
         m = _periodic_chain().matrix
-        for bad in ([0.5, -1e-11, 0.5], [np.nan, 0.5, 0.5], [np.inf, 0, 0],
-                    [0.0, 0.0, 0.0]):
-            monkeypatch.setattr(np.linalg, "solve",
-                                lambda a, b, bad=bad: np.array(bad))
-            assert markov._dense_stationary(m) is None
-        monkeypatch.setattr(np.linalg, "solve",
-                            lambda a, b: np.array([0.5, -1e-13, 0.5]))
-        assert markov._dense_stationary(m).tolist() == [0.5, 0.0, 0.5]
+        near = np.zeros(8)
+        near[[0, 7]] = 0.5, 0.5 + miss * 1e-9
+        far = np.random.default_rng(seed).dirichlet(np.ones(8))
+        for dense, fallback in ((near, far), (far, near), (None, far)):
+            def solve(*args, dense=dense):
+                if dense is None:
+                    raise np.linalg.LinAlgError("singular")
+                return dense.copy()
 
-    @pytest.mark.parametrize("n_players, path", [(6, "dense"), (7, "power")])
-    def test_switch_point(self, monkeypatch, n_players, path):
-        # 64 states are solved directly, 128 by power iteration
-        shape = GameShape(n_players, n_players - 1, 1, 2.0 * n_players + 3.0)
-        rng = np.random.default_rng(n_players)
-        tm = build_transition_matrix(shape, *random_profile(shape, rng))
-        assert len(tm.matrix) == 2 ** n_players
-        sv = stationary(tm)
-        assert sv.path == path and (sv.iterations == 0) == (path == "dense")
-        assert sv.residual <= markov._TOL
-        assert_same_stationary(sv, reference_stationary(tm))
-        # a chain of exactly _DIRECT_STATES states is solved directly
-        for direct, expected in ((len(tm.matrix) - 1, "power"),
-                                 (len(tm.matrix), "dense")):
-            monkeypatch.setattr(markov, "_DIRECT_STATES", direct)
-            assert stationary(tm).path == expected
-
-    # The tests below take the power path on chains of 8 states: either
-    # the threshold ``direct`` lies below 8, or the first-try solve is
-    # made and misses (``direct`` 16).
-
-    @pytest.mark.parametrize("direct", [1, 2, 3, 5, 16])
-    def test_step_below_tol_before_residual(self, monkeypatch, direct):
-        # this chain's step first reaches _TOL at a sweep whose residual
-        # (the next step) does not, so that sweep must not be returned
-        shape = GameShape(3, 3, 1, 9.0)
-        tables = ([0.02, 0.5, 0.02, 0.02, 0.02, 0.98],
-                  [0.5, 0.98, 0.0, 1.0, 0.0, 0.0],
-                  [0.5, 1.0, 0.98, 0.5, 1.0, 0.5])
-        leaders = [LeaderStrategy(i, np.reshape(t, (2, 3, 1)))
-                   for i, t in enumerate(tables)]
-        tm = build_transition_matrix(shape, leaders, [])
-        monkeypatch.setattr(markov, "_DIRECT_STATES", direct)
-        monkeypatch.setattr(markov, "_dense_stationary", lambda m: None)
-        missed = []
-        expected = reference_stationary(tm, missed)
-        assert missed and expected.path == "power"
-        assert_same_stationary(stationary(tm), expected)
-
-    @pytest.mark.parametrize("budget", [37, markov._POWER_BUDGET])
-    @pytest.mark.parametrize("direct", [1, 3, 16])
-    def test_dense_attempt_at_budget(self, monkeypatch, budget, direct):
-        monkeypatch.setattr(markov, "_DIRECT_STATES", direct)
-        monkeypatch.setattr(markov, "_POWER_BUDGET", budget)
-        first_try = direct >= 8
-        calls = _failing_first(monkeypatch, first_try)
-        sv = stationary(_periodic_chain())
-        assert sv.path == "dense" and sv.iterations == budget
-        assert len(calls) == 1 + first_try
-        calls.clear()
-        assert_same_stationary(sv, reference_stationary(_periodic_chain()))
-
-    @pytest.mark.parametrize("direct", [1, 3, 16])
-    def test_power_goes_on_from_a_missed_dense_solve(self, monkeypatch,
-                                                     direct):
-        # a dense attempt that misses the target restarts power iteration
-        # from its vector, here the uniform one
-        rng = np.random.default_rng(8)
-        tm = build_transition_matrix(FIG_SHAPE, *random_profile(FIG_SHAPE,
-                                                                rng))
-        monkeypatch.setattr(markov, "_DIRECT_STATES", direct)
-        monkeypatch.setattr(markov, "_POWER_BUDGET", 7)
-        monkeypatch.setattr(markov, "_dense_stationary",
-                            lambda m: np.full(len(m), 1.0 / len(m)))
-        sv = stationary(tm)
-        assert sv.path == "power" and sv.iterations > 7
-        assert_same_stationary(sv, reference_stationary(tm))
-
-    @pytest.mark.parametrize("max_iters", [0, 5, 37, 300])
-    @pytest.mark.parametrize("direct", [1, 3, 16])
-    def test_convergence_error_residual(self, monkeypatch, max_iters, direct):
-        # the periodic chain never settles once its dense attempts fail
-        monkeypatch.setattr(markov, "_DIRECT_STATES", direct)
-        monkeypatch.setattr(markov, "_MAX_ITERS", max_iters)
-        monkeypatch.setattr(markov, "_dense_stationary", lambda m: None)
-        tm = _periodic_chain()
-        with pytest.raises(ConvergenceError) as expected:
-            reference_stationary(tm)
+            monkeypatch.setattr(np.linalg, "solve", solve)
+            monkeypatch.setattr(np.linalg, "lstsq",
+                                lambda *args, fallback=fallback, **kw:
+                                (fallback.copy(), None, 0, None))
+            normed = [v / v.sum() for v in (dense, fallback) if v is not None]
+            expected = min(np.abs(v @ m - v).max() for v in normed)
+            assert expected > markov._TOL
+            with pytest.raises(ConvergenceError,
+                               match="missed the residual target") as got:
+                stationary(markov.TransitionMatrix(m, FIG_SHAPE))
+            assert got.value.residual == expected
+        # neither attempt finds a vector
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *args, **kw: (np.full(8, np.nan),
+                                                 None, 0, None))
         with pytest.raises(ConvergenceError) as got:
-            stationary(tm)
-        assert got.value.residual == expected.value.residual > 0.1
-        assert str(got.value) == str(expected.value)
+            stationary(markov.TransitionMatrix(m, FIG_SHAPE))
+        assert got.value.residual == np.inf
 
     def test_follower_relabel_equivariance(self):
         shape = GameShape(4, 2, 2, 11.0)
@@ -575,12 +501,14 @@ class TestExpectedPayoffs:
 
 # sha256 prefixes, as (uncoupled, coupled, lumped) per (players, leaders,
 # alliance) at r = 2N + 3, of a chain's matrix bytes (MATRIX_GOLDEN) and
-# of its stationary vector's bytes followed by "repr(residual)|path|
-# iterations" (STATIONARY_GOLDEN). The alliance shares one table drawn
-# from {0.2, 0.5, 0.8}, so members also tie in split states; the
-# outsiders come from ``random_outsiders``. They pin the chain build and
-# the stationary solve bit for bit. The stationary digests of the chains
-# solved directly were re-pinned with the direct solve of small chains.
+# of its stationary vector's bytes followed by "repr(residual)|path"
+# (STATIONARY_GOLDEN). The alliance shares one table drawn from {0.2,
+# 0.5, 0.8}, so members also tie in split states; the outsiders come from
+# ``random_outsiders``. They pin the chain build and the stationary solve
+# bit for bit. The stationary digests of the chains solved directly were
+# re-pinned with the direct solve of small chains, and those of the
+# 128- to 1,024-state chains, on one BLAS thread, when every chain took
+# that solve.
 # The digests of chains whose entries multiply a follower factor with two
 # or more leader coins were re-pinned when rows became an outer product of
 # the leaders' coins times the follower factor, which associates those
@@ -605,22 +533,22 @@ MATRIX_GOLDEN = {
 }
 
 STATIONARY_GOLDEN = {
-    (2, 1, 1): ("d2709a55d593d2fc", "d2709a55d593d2fc", "d2709a55d593d2fc"),
-    (2, 2, 1): ("5cd6cf754f898c94", "5cd6cf754f898c94", "5cd6cf754f898c94"),
-    (3, 2, 2): ("d3d5d01509b70d8e", "1ae53fde8694dd3c", "4f5953aa2194a97c"),
-    (3, 3, 2): ("1de941ffac8a8b42", "b80ea508c4e6ead2", "769ce65533319cf5"),
-    (4, 3, 3): ("087491691ccc73cf", "6b511131718dc2b6", "21c7ada8b43ebf4a"),
-    (4, 4, 2): ("90022d7e2f4be107", "f664a26d2a50a863", "51f6b7df5f219191"),
-    (5, 4, 4): ("e3ab772a4a863454", "487a7b18661ed59f", "bfe33d6598487b18"),
-    (5, 3, 2): ("18412d3042de09e3", "591c267be317bb48", "bbb81e9faba0114d"),
-    (6, 5, 5): ("c9975b455e062585", "704e75321143b1f5", "39965cc18f968560"),
-    (6, 4, 3): ("f5d187b11726077d", "da325dc7bab62069", "19f0afc629b87419"),
-    (7, 6, 6): ("1e2dd9d631b801d4", "cd2287d5b5f4c9d9", "f1d0d3da1ee65658"),
-    (7, 5, 3): ("4f3b27d1a746e185", "3ce2a622c20d9949", "1c67ebaca65838ae"),
-    (8, 7, 7): ("3300c2c1e0b3131c", "fe616cdfb9b5a489", "405feba2b9abd9ab"),
-    (8, 6, 4): ("79932e5bd37ac6fb", "cac1e56936e843fc", "08989eb2f88d6b58"),
-    (10, 9, 9): ("1a9abdfb1ac857f2", "4b9d7dcb8b2906ed", "6ed3856363d9784d"),
-    (10, 7, 6): ("b35665a15b49a6c3", "315618161558b2ea", "b4b5079fd194979a"),
+    (2, 1, 1): ("dd12abeeac5a1e60", "dd12abeeac5a1e60", "dd12abeeac5a1e60"),
+    (2, 2, 1): ("43961d1bb45de6e3", "43961d1bb45de6e3", "43961d1bb45de6e3"),
+    (3, 2, 2): ("ef4b8c01cb0d9634", "32b113b9962dc7eb", "b5933fa87665d5cf"),
+    (3, 3, 2): ("e7fb92ab1280c6f2", "5d8dcb0a772eee83", "0108346c3a981102"),
+    (4, 3, 3): ("1a1407669d410d8f", "561066fc6dc0cf74", "3ec9fc949ee92f10"),
+    (4, 4, 2): ("07740123c9112919", "22ef7a22c40438b1", "30d36b16c06e6146"),
+    (5, 4, 4): ("b97b054387cbb8bd", "2337958f8aadb813", "5de01520f1ad6da5"),
+    (5, 3, 2): ("70a5e6700931f0d0", "e70bb846b9f2784f", "0cf1dfcd9b187f99"),
+    (6, 5, 5): ("cbd44ee4087487f2", "c2eea82a358a2f0a", "1ded7e8db89fed9e"),
+    (6, 4, 3): ("70a17b928503099a", "a422d42caf355a52", "94b11757b919f13d"),
+    (7, 6, 6): ("05658c6126b3266d", "a4d5fb480bd6b3a1", "142e6b5c89d7548b"),
+    (7, 5, 3): ("6d2b0e824023ae5d", "74a7e376cb2888a9", "ef159dc6839839b4"),
+    (8, 7, 7): ("22a4ec2fc402073c", "eb30b52402e65e1a", "246cae1fb836ad3f"),
+    (8, 6, 4): ("2b4bf231330d6986", "e4ba1dd95f0d7bbc", "bb45c5dfc5904410"),
+    (10, 9, 9): ("d55acf4624efc004", "b5ca2b08851c045b", "623ff5b9c4ad53bc"),
+    (10, 7, 6): ("85ff2725c0a382bd", "cd3804639fa95746", "51726f2ea97557d3"),
 }
 
 # sha256 prefixes, per N as (uncoupled, coupled), of the float64 bytes of
@@ -635,6 +563,25 @@ DETERMINANT_GOLDEN = {
     5: ("9ccb9ff49fd194ac", "9ccb9ff49fd194ac"),
     6: ("19c5557d34beeb0d", "19c5557d34beeb0d"),
 }
+
+
+def _stationary_one_blas_thread(tm):
+    """``stationary(tm)`` in a child process with one BLAS thread. LAPACK
+    splits the LU of a chain over 64 states across the BLAS threads, and
+    the split moves the solution's last bits with the thread count, so
+    the digests of those chains are pinned on one thread, which any
+    machine reproduces."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(markov.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    code = ("import pickle, sys; from zdlab import markov; "
+            "pickle.dump(markov.stationary(pickle.load(sys.stdin.buffer)), "
+            "sys.stdout.buffer)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          input=pickle.dumps(tm), capture_output=True,
+                          env=env, check=True, timeout=60)
+    return pickle.loads(proc.stdout)
 
 
 class TestGolden:
@@ -657,9 +604,12 @@ class TestGolden:
         index = ("uncoupled", "coupled", "lumped").index(kind)
         matrix = hashlib.sha256(tm.matrix.tobytes())
         assert matrix.hexdigest()[:16] == MATRIX_GOLDEN[dims][index]
-        sv = stationary(tm)
+        if len(tm.matrix) > 64:
+            sv = _stationary_one_blas_thread(tm)
+        else:
+            sv = stationary(tm)
         h = hashlib.sha256(sv.vector.tobytes())
-        h.update(f"{sv.residual!r}|{sv.path}|{sv.iterations}".encode())
+        h.update(f"{sv.residual!r}|{sv.path}".encode())
         assert h.hexdigest()[:16] == STATIONARY_GOLDEN[dims][index]
 
     @pytest.mark.parametrize("coupled", [False, True])
