@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import PayoffScale
-from .graphs import Graph, adjacency_matrix
+# adjacency_matrix stays importable here: _extension_scores takes its result
+from .graphs import Graph, adjacency_matrix  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -134,20 +135,23 @@ def _coop_table(scale: PayoffScale, max_degree: int):
 @functools.lru_cache(maxsize=1)
 def _placement_tables(g: Graph, scale: PayoffScale):
     """The kernel's tables ``(adj_w, base, q)`` for the last (graph, scale),
-    the only V x V array kept between calls.
+    the only V x V array kept between calls (4 V^2 bytes).
 
-    ``adj_w`` is a fresh :func:`adjacency_matrix` with ``W = max_degree +
-    1`` written on its diagonal, so ``mask @ adj_w`` counts a node's ZD
-    neighbours and adds W when the node is itself ZD. ``base[u] = 2 W u``
-    offsets node u into the flat (V, 2W) table ``q``: ``q[u, m]`` is u's
-    cooperation probability with m ZD neighbours, from :func:`_coop_table`,
-    and 0.0 for m >= W.
+    ``adj_w`` is the float32 0/1 adjacency with ``W = max_degree + 1``
+    written on its diagonal, so ``mask @ adj_w`` counts a node's ZD
+    neighbours and adds W when the node is itself ZD: integers of at most
+    max_degree + W <= 2V, which float32 sums exactly while V < 2^23, in any
+    order BLAS takes. ``base[u] = 2 W u`` (intp, since it passes 2^24 on
+    graphs such as star-3000) offsets node u into the flat (V, 2W) table
+    ``q``: ``q[u, m]`` is u's cooperation probability with m ZD neighbours,
+    from :func:`_coop_table`, and 0.0 for m >= W.
     """
     degrees = g.degrees
     width = int(degrees.max()) + 1
-    adj_w = adjacency_matrix(g)
+    adj_w = np.zeros((g.n, g.n), dtype=np.float32)
+    adj_w[np.repeat(np.arange(g.n), degrees), g.indices] = 1.0
     adj_w.flat[::g.n + 1] = width
-    base = 2.0 * width * np.arange(g.n)
+    base = 2 * width * np.arange(g.n, dtype=np.intp)
     coop = _coop_table(scale, width - 1)[1]
     q = np.zeros((g.n, 2 * width))
     q[:, :width] = np.where(np.arange(width) < degrees[:, None],
@@ -163,7 +167,9 @@ def objective_from_mask(g: Graph, masks: np.ndarray,
     ``g``; the per-node terms and their order are those of
     :func:`evaluate`, and ZD nodes add 0.0. Returns shape (P,)."""
     adj_w, base, q = _placement_tables(g, scale)
-    return q.take((masks @ adj_w + base).astype(np.intp)).sum(axis=1)
+    idx = (masks @ adj_w).astype(np.intp)
+    idx += base
+    return q.take(idx).sum(axis=1)
 
 
 def _extension_scores(g: Graph, adj: np.ndarray, masks: np.ndarray,
@@ -180,7 +186,8 @@ def _extension_scores(g: Graph, adj: np.ndarray, masks: np.ndarray,
     extensions of every prefix.
     """
     adj_w, base, q = _placement_tables(g, scale)
-    idx = (adj_w @ masks + base[:, None]).astype(np.intp)
+    idx = (adj_w @ masks).astype(np.intp)
+    idx += base[:, None]
     q0 = q.take(idx)
     # on a prefix's own nodes idx + 1 can reach the next node's table (or
     # one past the end), so those differences are zeroed

@@ -23,7 +23,7 @@ RESCORE_ROWS = 256
 # most work of one search: V * C(V-1, K-1) mask entries, each weighted by
 # 1 + (V / 256)^2 for the V x V adjacency every block reads (README.md)
 EXHAUSTIVE_CAP = 2**27
-GA_CAP = 2**22  # most entries P * V of a GA population (~24 B each traced)
+GA_CAP = 2**22  # most entries P * V of a GA population (~46 B each traced)
 # the GA's fixed operators (see optimize_ga)
 TOURNAMENT_SIZE = 3
 CROSSOVER_RATE = 0.9
@@ -62,18 +62,24 @@ def fix_k(masks: np.ndarray, k: int, rng) -> np.ndarray:
     A row with more than k bits keeps a uniformly random k of them; a row
     with fewer keeps all of them plus uniformly random unset bits.
     """
-    keys = rng.random(masks.shape) + ~masks  # set bits sort first
-    out = keys <= np.partition(keys, k - 1, axis=1)[:, k - 1:k]
-    # a key tied with the k-th smallest leaves a row with more than k bits;
-    # such rows keep the k that argpartition picks, the rule the GA's
-    # random stream is pinned to
-    tied = np.flatnonzero(out.sum(axis=1) != k)
-    if tied.size:
+    out = np.empty(masks.shape, dtype=bool)
+    _fix_k_into(masks, k, rng.random(masks.shape), out)
+    return out
+
+
+def _fix_k_into(masks: np.ndarray, k: int, keys: np.ndarray, out: np.ndarray):
+    """:func:`fix_k` on the uniform ``keys`` (overwritten), into ``out``."""
+    keys += ~masks  # set bits sort first
+    np.less_equal(keys, np.partition(keys, k - 1, axis=1)[:, k - 1:k], out=out)
+    # a key tied with the k-th smallest leaves a row with more than k bits
+    # (never fewer); such rows keep the k that argpartition picks, the rule
+    # the GA's random stream is pinned to
+    if np.count_nonzero(out) != k * len(out):
+        tied = np.flatnonzero(np.count_nonzero(out, axis=1) != k)
         keep = np.argpartition(keys[tied], k - 1, axis=1)[:, :k]
         rows = np.zeros((tied.size, masks.shape[1]), dtype=bool)
         np.put_along_axis(rows, keep, True, axis=1)
         out[tied] = rows
-    return out
 
 
 def optimize_ga(g: Graph, k: int, scale: PayoffScale,
@@ -86,6 +92,11 @@ def optimize_ga(g: Graph, k: int, scale: PayoffScale,
     once (tournaments of ``TOURNAMENT_SIZE`` = 3, uniform crossover with
     probability ``CROSSOVER_RATE`` = 0.9 per child, bit-flip mutation at
     1/V per gene, then :func:`fix_k`) and scores them in one kernel call.
+    After the tournament draw, one ``rng.random`` call per generation
+    supplies, in this order, the crossover coins and the take-b, mutation
+    and :func:`fix_k` keys; children are bred in place on the gathered
+    parents and written into a second population buffer, which then swaps
+    with the live one.
 
     Returns ``(deployment, objective, history)`` where history holds the
     per-generation best fitness (nondecreasing thanks to elitism).
@@ -101,19 +112,33 @@ def optimize_ga(g: Graph, k: int, scale: PayoffScale,
     population[1:] = fix_k(population[1:], k, rng)
     scores = objective_from_mask(g, population, scale)
 
+    # buffers reused by every generation
+    spare = np.empty_like(population)
+    parents = np.empty((2, n_children, n), dtype=bool)
+    parent_a, parent_b = parents
+    gene_mask = np.empty((n_children, n), dtype=bool)
+    uniform = np.empty(n_children * (1 + 3 * n))
+    coins = uniform[:n_children]
+    b_keys, flip_keys, fix_keys = uniform[n_children:].reshape(3, n_children, n)
     # index arrays that pick each tournament's winner out of ``picks``
     pair, child = np.arange(2)[:, None], np.arange(n_children)
     history = []
     for _ in range(cfg.generations):
-        elite = population[np.argsort(-scores, kind="stable")[:ELITISM_COUNT]]
+        spare[:ELITISM_COUNT] = population[
+            np.argsort(-scores, kind="stable")[:ELITISM_COUNT]]
         picks = rng.integers(0, size, size=(2, n_children, TOURNAMENT_SIZE))
         won = np.argmax(scores[picks], axis=2)
-        parent_a, parent_b = population[picks[pair, child, won]]
-        crossed = rng.random(n_children) < CROSSOVER_RATE
-        take_b = (rng.random((n_children, n)) < 0.5) & crossed[:, None]
-        children = parent_a ^ ((parent_a ^ parent_b) & take_b)
-        children ^= rng.random((n_children, n)) < 1.0 / n
-        population = np.concatenate([elite, fix_k(children, k, rng)])
+        rng.random(out=uniform)
+        population.take(picks[pair, child, won], axis=0, out=parents)
+        # children = a ^ ((a ^ b) & take_b), bred into parent_a
+        np.less(b_keys, 0.5, out=gene_mask)
+        gene_mask &= (coins < CROSSOVER_RATE)[:, None]
+        parent_b ^= parent_a
+        parent_b &= gene_mask
+        parent_a ^= parent_b
+        parent_a ^= np.less(flip_keys, 1.0 / n, out=gene_mask)
+        _fix_k_into(parent_a, k, fix_keys, spare[ELITISM_COUNT:])
+        population, spare = spare, population
         scores = objective_from_mask(g, population, scale)
         history.append(float(scores.max()))
 

@@ -37,9 +37,9 @@ def reference_tables(g, scale):
     :func:`zdlab.field._placement_tables` documents them."""
     degrees = np.diff(g.indptr)
     width = int(degrees.max()) + 1
-    adj_w = adjacency_matrix(g).copy()
+    adj_w = adjacency_matrix(g).astype(np.float32)
     np.fill_diagonal(adj_w, width)
-    base = 2.0 * width * np.arange(g.n)
+    base = (2 * width * np.arange(g.n)).astype(np.intp)
     m = np.arange(width)
     has_regular = (m < degrees[:, None]).astype(np.intp)
     q = np.zeros((g.n, 2 * width))
@@ -266,6 +266,46 @@ class TestMaskObjective:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert (got == want).all()
             assert not got.flags.writeable
+
+    @staticmethod
+    def _star_rows(g, rng):
+        """K-sets on star-3000: random ones, and ones holding the hub and
+        high leaves, whose index base[u] + 1 is odd and past 2^24."""
+        rows = [rng.choice(g.n, size=k, replace=False) for k in (1, 3, 8)]
+        rows += [np.concatenate(([0], rng.choice(np.arange(2797, g.n), size=k,
+                                                 replace=False)))
+                 for k in (0, 1, 4, 9)]
+        return rows + [np.arange(g.n - 5, g.n)]
+
+    def test_kernel_exact_past_float32_integers(self):
+        # W = 3000 and 2W(V - 1) = 17,994,000 > 2^24: float32 holds the
+        # product's counts but not every base[u] + count, so they are
+        # added as integers
+        g = generate("star", 3000)
+        base = zdlab.field._placement_tables(g, SCALE)[1]
+        assert base[-1] > 2**24
+        rows = self._star_rows(g, np.random.default_rng(4))
+        scores = objective_from_mask(g, _population(g, rows), SCALE)
+        for score, nodes in zip(scores, rows):
+            dep = Deployment(g, frozenset(nodes.tolist()), SCALE)
+            assert score == evaluate(dep).objective
+
+    def test_extension_scores_exact_past_float32_integers(self):
+        # the float64 reference: counts, W on the prefix's own nodes and the
+        # offsets 2Wu summed in float64, exact below 2^53
+        g = generate("star", 3000)
+        adj = adjacency_matrix(g)
+        masks = _population(g, self._star_rows(g, np.random.default_rng(5))).T
+        width = int(g.degrees.max()) + 1
+        idx = (adj @ masks + width * masks
+               + 2.0 * width * np.arange(g.n)[:, None]).astype(np.intp)
+        q = zdlab.field._placement_tables(g, SCALE)[2]
+        q0 = q.take(idx)
+        d = q.take(idx + 1, mode="clip") - q0
+        d[masks] = 0.0
+        want = (q0.sum(axis=0) - q0) + adj @ d
+        got = zdlab.field._extension_scores(g, adj, masks, SCALE)
+        assert (got == want).all()
 
     def test_adjacency_matrix(self):
         adj = adjacency_matrix(Graph(3, [(0, 1)]))

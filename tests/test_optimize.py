@@ -288,7 +288,7 @@ class TestExhaustive:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 8 * g.n ** 2
+        assert peak < 1.5 * 4 * g.n ** 2
 
     def test_plan_blocks_hold_prefixes_and_extensions(self):
         for n in range(2, 10):
