@@ -36,6 +36,28 @@ GRID_SHAPES = [shape for n in range(2, 11)
                for nl in range(1, n + 1) for na in range(1, min(nl, n - 1) + 1)
                if alliance_admissible(shape := GameShape(n, nl, na, r))]
 
+# every admissible split of N = 2..10 players at r = 2N + 3
+PAYOFF_SHAPES = [shape for n in range(2, 11) for nl in range(1, n + 1)
+                 for na in range(1, min(nl, n - 1) + 1)
+                 if alliance_admissible(
+                     shape := GameShape(n, nl, na, 2.0 * n + 3.0))]
+
+# sha256 prefix over PAYOFF_SHAPES of, per shape, the full-chain and
+# lumped payoff vectors and the unison rows k = 0 and n_alliance of the
+# count payoffs, then per chi in (0, 0.3) and l at l_min, the midpoint and
+# l_max, synthesize's f_unison, strategy table, f_vector, phi and
+# certificate (or the InfeasibleError message). It pins the payoff rule
+# and every synthesis output on it bit for bit; the lumped chains have at
+# most 64 states, so no solve depends on the BLAS thread count.
+PAYOFF_GOLDEN = "df6e9fbdce9fa6ca"
+
+
+def unison_rows(shape):
+    """Rows k = 0 and n_alliance of the count payoffs: (2, N + 1) arrays."""
+    counts = count_payoffs(shape)
+    rows = [0, shape.n_alliance]
+    return counts.alliance[rows], counts.outsiders[rows]
+
 
 def reference_phi_interval(f, zero):
     """Scalar loop over the unison outcomes (s, b) of the (2, N + 1) table
@@ -117,6 +139,29 @@ def pure_outsiders(outsiders):
             if isinstance(s, LeaderStrategy)
             else FollowerStrategy(s.owner, np.round(s.probs))
             for s in outsiders]
+
+
+def test_payoff_golden():
+    h = hashlib.sha256()
+    for shape in PAYOFF_SHAPES:
+        for pv in (game.payoff_vectors(shape),
+                   game.lumped_payoff_vectors(shape)):
+            h.update(pv.alliance.tobytes() + pv.outsiders.tobytes())
+        for row in unison_rows(shape):
+            h.update(row.tobytes())
+        for chi in (0.0, 0.3):
+            lo, hi = feasible_l_range(chi, shape)
+            for l in (lo, (lo + hi) / 2, hi):
+                try:
+                    result = synthesize(ZDParams(chi, l, shape))
+                except InfeasibleError as exc:
+                    h.update(str(exc).encode())
+                    continue
+                for array in (result.f_unison, result.strategy.table,
+                              result.f_vector):
+                    h.update(array.tobytes())
+                h.update(f"{result.phi!r}|{result.certificate!r}".encode())
+    assert h.hexdigest()[:16] == PAYOFF_GOLDEN
 
 
 class TestAdmissibility:
