@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError
-from .game import (COOPERATE, GameShape, count_cells, count_payoffs,
-                   lumped_payoff_vectors)
+from .game import (COOPERATE, GameShape, lumped_payoff_vectors,
+                   payoff_vectors, unison_payoffs)
 from .markov import (FollowerStrategy, LeaderStrategy, build_lumped_matrix,
                      check_lumped, check_players, expected_payoffs,
                      leader_table_shape, stationary)
@@ -40,12 +40,13 @@ class ZDParams:
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    """``f_counts[k, b]`` is f = chi (g_A - l) - (g_O - l) on the table of
-    :func:`count_payoffs`; ``f_unison`` is its rows 0 and n_alliance."""
+    """``f_unison[s, b]`` is f = chi (g_A - l) - (g_O - l) at the unison
+    outcomes (:func:`unison_payoffs`), with l the ``baseline`` enforced:
+    ``params.l`` clamped into ``feasible_l_range``."""
 
     strategy: LeaderStrategy
-    f_counts: np.ndarray
     f_unison: np.ndarray
+    baseline: float
     phi: float
     phi_interval: tuple
     certificate: float
@@ -55,9 +56,10 @@ class SynthesisResult:
     def f_vector(self) -> np.ndarray:
         """f per state of the full chain, read-only, built on first read;
         a game of over ``MAX_PLAYERS`` players is refused first."""
-        shape = self.params.shape
+        shape, chi, l = self.params.shape, self.params.chi, self.baseline
         check_players(shape)
-        f = self.f_counts[count_cells(shape.n_players, shape.n_alliance, 1)]
+        pv = payoff_vectors(shape)
+        f = chi * (pv.alliance - l) - (pv.outsiders - l)
         f.flags.writeable = False
         return f
 
@@ -158,13 +160,10 @@ def synthesize(params: ZDParams) -> SynthesisResult:
         )
     l = min(max(l, l_min), l_max)
 
-    counts = count_payoffs(shape)
-    f_counts = chi * (counts.alliance - l) - (counts.outsiders - l)
-    f_counts.flags.writeable = False
-    unison = slice(None, None, shape.n_alliance)  # rows 0 and n_alliance
-    f = f_counts[unison]
-    pos_hi, neg_lo, violator = _phi_interval(
-        f, _zero_band(chi, l, counts)[unison])
+    unison = unison_payoffs(shape)
+    f = chi * (unison.alliance - l) - (unison.outsiders - l)
+    f.flags.writeable = False
+    pos_hi, neg_lo, violator = _phi_interval(f, _zero_band(chi, l, unison))
     if pos_hi <= 0.0 and neg_lo >= 0.0:
         where = f"outcome {violator}" if violator else "conflicting outcomes"
         raise InfeasibleError(f"no nonzero scaling satisfies {where}")
@@ -180,8 +179,7 @@ def synthesize(params: ZDParams) -> SynthesisResult:
         phi = (interval[0] + interval[1]) / 2.0
 
     strategy = _alliance_strategy(shape, f, phi)
-    result = SynthesisResult(strategy, f_counts, f, phi, interval, math.nan,
-                             params)
+    result = SynthesisResult(strategy, f, l, phi, interval, math.nan, params)
     # nothing else holds the result yet, so the certificate is set in place
     object.__setattr__(result, "certificate",
                        verify_enforcement(result, _default_outsiders(shape)))

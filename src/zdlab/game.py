@@ -116,61 +116,48 @@ def is_social_dilemma(r: float) -> bool:
 
 @dataclass(frozen=True)
 class PayoffVectors:
-    """Average alliance and outsider payoffs: by cooperator counts
-    (:func:`count_payoffs`), or gathered from them per state of a chain
-    (:func:`count_cells`)."""
+    """Average alliance and outsider payoffs at cells of
+    :func:`count_payoffs`."""
 
     alliance: np.ndarray
     outsiders: np.ndarray
 
 
-@functools.lru_cache(maxsize=64)
-def count_payoffs(shape: GameShape) -> PayoffVectors:
+def count_payoffs(shape: GameShape, k, b) -> PayoffVectors:
     """Average payoffs of the alliance and the outsiders when k alliance
-    members and b players in all cooperate: read-only (n_alliance + 1,
-    N + 1) arrays indexed [k, b], NaN where (k, b) cannot occur.
+    members and b players in all cooperate, at the broadcast integer cells
+    ``(k, b)``: read-only arrays, NaN where (k, b) cannot occur.
 
     Each player earns ``r * b / N`` and a defector 1 more, as in
     :func:`utility`; this is the only place that rule is written.
     """
     n, na = shape.n_players, shape.n_alliance
-    k, b = np.arange(na + 1)[:, None], np.arange(n + 1)
     base = shape.r * b / n
-    tables = (base + (na - k) / na,
-              ((b - k) * base + (n - na - b + k) * (base + 1.0)) / (n - na))
+    impossible = (b < k) | (b - k > n - na)
+    tables = [np.where(impossible, np.nan, table) for table in (
+        base + (na - k) / na,
+        ((b - k) * base + (n - na - b + k) * (base + 1.0)) / (n - na))]
     for table in tables:
-        table[(b < k) | (b - k > n - na)] = np.nan
         table.flags.writeable = False
     return PayoffVectors(*tables)
 
 
-@functools.lru_cache(maxsize=64)
 def count_cells(n_bits: int, n_members: int, weight: int):
-    """Read-only cells ``(k, b)`` in :func:`count_payoffs` of the states of
-    ``n_bits`` bits whose low ``n_members`` bits count ``weight`` members
-    each: ``(N, n_alliance, 1)`` for the full chain and ``(N - n_alliance +
-    1, 1, n_alliance)`` for the alliance-lumped chain."""
+    """Cells ``(k, b)`` of :func:`count_payoffs` of the states of ``n_bits``
+    bits whose low ``n_members`` bits count ``weight`` members each:
+    ``(N, n_alliance, 1)`` for the full chain and ``(N - n_alliance + 1, 1,
+    n_alliance)`` for the alliance-lumped chain."""
     bits = state_bits(n_bits)
     k = weight * bits[:, :n_members].sum(axis=1)
-    b = k + bits[:, n_members:].sum(axis=1)
-    k.flags.writeable = b.flags.writeable = False
-    return k, b
-
-
-def _gather(shape, k, b):
-    """Read-only entries [k, b] of :func:`count_payoffs`."""
-    table = count_payoffs(shape)
-    vectors = table.alliance[k, b], table.outsiders[k, b]
-    for vec in vectors:
-        vec.flags.writeable = False
-    return PayoffVectors(*vectors)
+    return k, k + bits[:, n_members:].sum(axis=1)
 
 
 @functools.lru_cache(maxsize=64)
 def payoff_vectors(shape: GameShape) -> PayoffVectors:
     """Average payoffs of the alliance group and the outsider group per
     state of the full chain, split states included."""
-    return _gather(shape, *count_cells(shape.n_players, shape.n_alliance, 1))
+    return count_payoffs(shape,
+                         *count_cells(shape.n_players, shape.n_alliance, 1))
 
 
 @functools.lru_cache(maxsize=64)
@@ -179,4 +166,12 @@ def lumped_payoff_vectors(shape: GameShape) -> PayoffVectors:
     alliance's unison action, the other bits are the outsiders (leaders,
     then followers)."""
     na = shape.n_alliance
-    return _gather(shape, *count_cells(shape.n_players - na + 1, 1, na))
+    return count_payoffs(shape, *count_cells(shape.n_players - na + 1, 1, na))
+
+
+@functools.lru_cache(maxsize=64)
+def unison_payoffs(shape: GameShape) -> PayoffVectors:
+    """The payoffs of the unison outcomes (s, b), s the alliance's action:
+    (2, N + 1) arrays indexed [s, b], the cells k = s * n_alliance."""
+    return count_payoffs(shape, np.array([[0], [shape.n_alliance]]),
+                         np.arange(shape.n_players + 1))

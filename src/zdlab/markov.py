@@ -18,8 +18,9 @@ from .game import GameShape, PayoffVectors, state_bits
 
 MAX_PLAYERS = 10
 MAX_DETERMINANT_PLAYERS = 8
-# Caps of the alliance-lumped chain: 2^(outsiders + 1) states, and payoff
-# tables that grow with N.
+# Caps of the alliance-lumped chain: 2^(outsiders + 1) states, and the
+# player range in which its certificates were measured (at most 6.5e-10 at
+# N = 1,024); synthesis reads only 2 (N + 1) unison payoffs.
 MAX_OUTSIDERS = 9
 MAX_LUMPED_PLAYERS = 1024
 

@@ -16,7 +16,7 @@ from zdlab.alliance import (ZDParams, dominance_check, feasible_l_range,
                             random_outsiders, synthesize, verify_enforcement)
 from zdlab.errors import InfeasibleError
 from zdlab.field import Deployment, cooperator_ratio, evaluate
-from zdlab.game import GameShape, PayoffScale, count_payoffs
+from zdlab.game import GameShape, PayoffScale, unison_payoffs
 from zdlab.graphs import betweenness, generate
 from zdlab.markov import (FollowerStrategy, LeaderStrategy,
                           build_transition_matrix, determinant_dot,
@@ -133,9 +133,9 @@ def test_criterion_04_cooperation_dominance():
         n = na + 1
         r = float(rng.uniform(n + 1e-6, 4.0 * n))
         shape = GameShape(n, na, na, r)
-        # direct oracle: unison payoffs for either outsider action, rows
-        # 0 and n_alliance of the count table
-        unison = count_payoffs(shape).alliance[[0, na]]
+        # direct oracle: unison payoffs for either outsider action, the
+        # cells k = 0 and n_alliance
+        unison = unison_payoffs(shape).alliance
         for a in (0, 1):
             coop = unison[1, na + a]
             defect = unison[0, a]

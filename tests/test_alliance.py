@@ -18,7 +18,7 @@ from zdlab.alliance import (ZDParams, _default_outsiders, _phi_interval,
                             verify_enforcement)
 from zdlab.errors import InfeasibleError
 from zdlab.game import (GameShape, count_cells, count_payoffs, payoff_vectors,
-                        state_bits)
+                        state_bits, unison_payoffs)
 from zdlab.markov import (FollowerStrategy, LeaderStrategy, TransitionMatrix,
                           build_transition_matrix, stationary, zd_determinant)
 
@@ -52,11 +52,12 @@ PAYOFF_SHAPES = [shape for n in range(2, 11) for nl in range(1, n + 1)
 PAYOFF_GOLDEN = "df6e9fbdce9fa6ca"
 
 
-def unison_rows(shape):
-    """Rows k = 0 and n_alliance of the count payoffs: (2, N + 1) arrays."""
-    counts = count_payoffs(shape)
-    rows = [0, shape.n_alliance]
-    return counts.alliance[rows], counts.outsiders[rows]
+def count_f(shape, chi, l):
+    """f = chi (g_A - l) - (g_O - l) on the whole count grid: an
+    (n_alliance + 1, N + 1) array indexed [k, b]."""
+    n, na = shape.n_players, shape.n_alliance
+    counts = count_payoffs(shape, np.arange(na + 1)[:, None], np.arange(n + 1))
+    return chi * (counts.alliance - l) - (counts.outsiders - l)
 
 
 def reference_phi_interval(f, zero):
@@ -88,12 +89,12 @@ def f_tables(draw):
     n = draw(st.integers(2, 10))
     na = draw(st.integers(1, n - 1))
     shape = GameShape(n, na, na, draw(st.sampled_from([n + 0.5, 2.0 * n + 3])))
-    # the unison outcomes are rows 0 and n_alliance of the count table
-    counts = count_payoffs(shape)
+    # the unison outcomes are the cells k = 0 and n_alliance
+    unison = unison_payoffs(shape)
     zero = _zero_band(draw(st.sampled_from([0.0, 0.3, 0.9])),
-                      draw(st.floats(0.5, 4.0 * n)), counts)[[0, na]]
+                      draw(st.floats(0.5, 4.0 * n)), unison)
     f = np.full((2, n + 1), np.nan)
-    for s, b in np.argwhere(~np.isnan(counts.alliance[[0, na]])).tolist():
+    for s, b in np.argwhere(~np.isnan(unison.alliance)).tolist():
         kind = draw(st.sampled_from(["zero", "inside", "edge", "value"]))
         if kind == "zero":
             f[s, b] = 0.0
@@ -147,8 +148,8 @@ def test_payoff_golden():
         for pv in (game.payoff_vectors(shape),
                    game.lumped_payoff_vectors(shape)):
             h.update(pv.alliance.tobytes() + pv.outsiders.tobytes())
-        for row in unison_rows(shape):
-            h.update(row.tobytes())
+        unison = unison_payoffs(shape)
+        h.update(unison.alliance.tobytes() + unison.outsiders.tobytes())
         for chi in (0.0, 0.3):
             lo, hi = feasible_l_range(chi, shape)
             for l in (lo, (lo + hi) / 2, hi):
@@ -298,7 +299,7 @@ class TestSynthesis:
         # the certificate runs on the lumped chain: nothing in synthesize
         # needs the 2^N states
         shape, chi, l = GameShape(6, 5, 4, 15.0), 0.3, 9.0
-        sizes, cells = [], []
+        sizes, cells, vectors = [], [], []
 
         def spy_bits(n_players):
             sizes.append(n_players)
@@ -308,20 +309,22 @@ class TestSynthesis:
             cells.append(layout)
             return count_cells(*layout)
 
-        def no_vectors(shape):
-            raise AssertionError("payoff_vectors called")
+        def spy_vectors(shape):
+            vectors.append(shape)
+            return payoff_vectors(shape)
 
+        game.payoff_vectors.cache_clear()
         monkeypatch.setattr(game, "state_bits", spy_bits)
         monkeypatch.setattr(markov, "state_bits", spy_bits)
         monkeypatch.setattr(game, "count_cells", spy_cells)
-        monkeypatch.setattr(alliance, "count_cells", spy_cells)
-        monkeypatch.setattr(game, "payoff_vectors", no_vectors)
+        monkeypatch.setattr(alliance, "payoff_vectors", spy_vectors)
         result = synthesize(ZDParams(chi, l, shape))
-        assert shape.n_players not in sizes
+        assert shape.n_players not in sizes and not vectors
         assert all(n_bits < shape.n_players for n_bits, _, _ in cells)
         before = len(cells)
         f = result.f_vector
         assert cells[before:] == [(shape.n_players, shape.n_alliance, 1)]
+        assert vectors == [shape]
         assert result.f_vector is f and not f.flags.writeable
         monkeypatch.undo()
         pv = payoff_vectors(shape)
@@ -343,19 +346,22 @@ class TestSynthesis:
         assert peak < 2**20
 
     def test_f_vector_gathers_count_table(self):
-        # every admissible split of N <= 10: f per state is the count table
-        # at the state's popcounts (cooperating members, all cooperators)
+        # every admissible split of N <= 10: f per state is f on the count
+        # grid at the state's popcounts (cooperating members, all
+        # cooperators)
         for shape in GRID_SHAPES:
             try:
                 lo, hi = feasible_l_range(0.3, shape)
-                result = synthesize(ZDParams(0.3, (lo + hi) / 2, shape))
+                l = (lo + hi) / 2
+                result = synthesize(ZDParams(0.3, l, shape))
             except InfeasibleError:
                 continue
+            f_counts = count_f(shape, 0.3, l)
             states = range(shape.n_states)
             low = (1 << shape.n_alliance) - 1
             k = [bin(state & low).count("1") for state in states]
             b = [bin(state).count("1") for state in states]
-            assert result.f_vector.tobytes() == result.f_counts[k, b].tobytes()
+            assert result.f_vector.tobytes() == f_counts[k, b].tobytes()
 
     def test_f_tables_share_one_count_table(self):
         for shape in SMALL_SHAPES:
@@ -365,10 +371,10 @@ class TestSynthesis:
                     result = synthesize(ZDParams(0.4, l, shape))
                 except InfeasibleError:
                     continue
-                counts = result.f_counts
+                counts = count_f(shape, 0.4, result.baseline)
                 assert counts.shape == (shape.n_alliance + 1,
                                         shape.n_players + 1)
-                assert not counts.flags.writeable
+                assert not result.f_unison.flags.writeable
                 assert result.f_unison.tobytes() == (
                     counts[[0, shape.n_alliance]].tobytes())
 
@@ -378,10 +384,9 @@ class TestSynthesis:
         f = result.f_unison
         assert f.shape == (2, 6)
         assert not f.flags.writeable
-        counts = count_payoffs(shape)
-        unison = counts.alliance[[0, 3]], counts.outsiders[[0, 3]]
+        unison = unison_payoffs(shape)
         np.testing.assert_array_equal(
-            f, 0.3 * (unison[0] - 6.0) - (unison[1] - 6.0))
+            f, 0.3 * (unison.alliance - 6.0) - (unison.outsiders - 6.0))
         assert np.isnan(f[1, :3]).all() and np.isnan(f[0, 3:]).all()
         assert not np.isnan(f[1, 3:]).any() and not np.isnan(f[0, :3]).any()
         assert "payoffs" not in inspect.signature(synthesize).parameters
@@ -562,11 +567,38 @@ class TestEnforcement:
             shape = GameShape(na + 1, na, na, 2.0 * na + 5.0)
             lo, hi = feasible_l_range(0.0, shape)
             synthesize(ZDParams(0.0, (lo + hi) / 2, shape))
-        for cached in (game.count_payoffs, game.payoff_vectors,
-                       game.lumped_payoff_vectors, game.count_cells,
-                       markov._chain_plan, alliance._strategy_indices,
+        for cached in (game.payoff_vectors, game.lumped_payoff_vectors,
+                       game.unison_payoffs, markov._chain_plan,
+                       alliance._strategy_indices,
                        alliance._default_outsiders):
             assert cached.cache_info().currsize <= 64, cached.__name__
+
+    def test_scan_over_r_keeps_no_count_grid(self):
+        # synthesize reads the 2 (N + 1) unison cells and the lumped cells,
+        # so a scan over r at N = 1,024 keeps no (n_alliance + 1, N + 1)
+        # table per shape
+        tracemalloc.start()
+        try:
+            for r in range(2051, 2060):
+                shape = GameShape(1024, 1015, 1015, float(r))
+                lo, hi = feasible_l_range(0.0, shape)
+                synthesize(ZDParams(0.0, (lo + hi) / 2, shape))
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 8 * 2**20
+
+    def test_largest_game_builds_no_count_grid(self):
+        # one outsider of 1,024 players: a 4-state lumped chain and
+        # 2 * 1,025 unison cells, where the grid would take 16 MB
+        shape = GameShape(1024, 1023, 1023, 2051.0)
+        tracemalloc.start()
+        try:
+            synthesize(ZDParams(0.0, 1026.0, shape))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("dims", [(40, 36, 35), (200, 199, 199)])
     def test_large_games_without_full_chain(self, monkeypatch, dims):
@@ -582,7 +614,7 @@ class TestEnforcement:
 
         monkeypatch.setattr(game, "state_bits", spy_bits)
         monkeypatch.setattr(markov, "state_bits", spy_bits)
-        game.count_cells.cache_clear()
+        game.lumped_payoff_vectors.cache_clear()
         markov._chain_plan.cache_clear()
         rng = np.random.default_rng(n)
         for chi in (0.0, 0.3):

@@ -5,7 +5,7 @@ import pytest
 
 from zdlab.game import (GameShape, PayoffScale, count_cells, count_payoffs,
                         is_social_dilemma, lumped_payoff_vectors,
-                        payoff_vectors, state_bits, utility)
+                        payoff_vectors, state_bits, unison_payoffs, utility)
 
 R = 9.0
 FIG_SHAPE = GameShape(3, 2, 2, R)
@@ -27,12 +27,18 @@ def state_of(actions):
     return sum(a << i for i, a in enumerate(actions))
 
 
+def count_grid(shape):
+    """:func:`zdlab.game.count_payoffs` at every cell (k, b): (n_alliance +
+    1, N + 1) arrays indexed [k, b]."""
+    return count_payoffs(shape, np.arange(shape.n_alliance + 1)[:, None],
+                         np.arange(shape.n_players + 1))
+
+
 def unison_rows(shape):
-    """Rows 0 and n_alliance of :func:`zdlab.game.count_payoffs`, the
-    unison outcomes (s, b): (2, N + 1) arrays indexed [s, b]."""
-    table = count_payoffs(shape)
-    rows = [0, shape.n_alliance]
-    return table.alliance[rows], table.outsiders[rows]
+    """:func:`zdlab.game.unison_payoffs`, the unison outcomes (s, b):
+    (2, N + 1) arrays indexed [s, b]."""
+    unison = unison_payoffs(shape)
+    return unison.alliance, unison.outsiders
 
 
 def reference_unison(s, b, shape):
@@ -209,11 +215,15 @@ class TestUnisonPayoffs:
     def test_table_equals_closed_forms(self):
         for shape in SPLIT_SHAPES:
             n, na = shape.n_players, shape.n_alliance
-            table = count_payoffs(shape)
+            table = count_grid(shape)
             for array in (table.alliance, table.outsiders):
                 with pytest.raises(ValueError):
                     array[0, 0] = 0.0
             alliance, outsiders = unison_rows(shape)
+            for got, rows in zip((alliance, outsiders),
+                                 (table.alliance, table.outsiders)):
+                assert not got.flags.writeable
+                assert got.tobytes() == rows[[0, na]].tobytes()
             assert alliance.shape == outsiders.shape == (2, n + 1)
             for s in (0, 1):
                 for b in range(n + 1):
@@ -261,8 +271,7 @@ class TestCountPayoffs:
     def test_table_matches_utility_means(self):
         for shape in COUNT_SHAPES:
             n, na = shape.n_players, shape.n_alliance
-            table = count_payoffs(shape)
-            assert count_payoffs(shape) is table
+            table = count_grid(shape)
             for array in (table.alliance, table.outsiders):
                 assert array.shape == (na + 1, n + 1)
                 assert not array.flags.writeable
@@ -281,7 +290,7 @@ class TestCountPayoffs:
         # cooperators)
         for shape in COUNT_SHAPES:
             na = shape.n_alliance
-            table = count_payoffs(shape)
+            table = count_grid(shape)
             bits = state_bits(shape.n_players - na + 1)
             k = na * bits[:, 0]
             lumped = lumped_payoff_vectors(shape)
@@ -308,16 +317,14 @@ class TestCountCells:
             (shape.n_players, shape.n_alliance, 1),
             (shape.n_players - shape.n_alliance + 1, 1, shape.n_alliance))}
         for layout in sorted(layouts):
-            cells = count_cells(*layout)
-            assert count_cells(*layout) is cells
-            for got, want in zip(cells, reference_cells(*layout)):
+            for got, want in zip(count_cells(*layout),
+                                 reference_cells(*layout)):
                 np.testing.assert_array_equal(got, want)
-                assert not got.flags.writeable
 
     def test_views_gather_the_count_table(self):
         for shape in COUNT_SHAPES:
             n, na = shape.n_players, shape.n_alliance
-            table = count_payoffs(shape)
+            table = count_grid(shape)
             for view, layout in ((payoff_vectors, (n, na, 1)),
                                  (lumped_payoff_vectors, (n - na + 1, 1, na))):
                 k, b = reference_cells(*layout)
