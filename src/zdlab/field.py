@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import PayoffScale
-# adjacency_matrix stays importable here: _extension_scores takes its result
+# not called here; kept so the benchmark can trace field.adjacency_matrix
 from .graphs import Graph, adjacency_matrix  # noqa: F401
 
 
@@ -170,27 +170,3 @@ def objective_from_mask(g: Graph, masks: np.ndarray,
     idx = (masks @ adj_w).astype(np.intp)
     idx += base
     return q.take(idx).sum(axis=1)
-
-
-def _extension_scores(g: Graph, adj: np.ndarray, masks: np.ndarray,
-                      scale: PayoffScale) -> np.ndarray:
-    """First-order scores of one-node extensions. ``adj`` is ``g``'s
-    :func:`adjacency_matrix` and ``masks`` a (V, P) boolean array, one
-    prefix per column; entry [v, p] of the (V, P) result approximates
-    :func:`objective_from_mask`'s score of prefix p plus node v, for each v
-    outside prefix p.
-
-    With c the prefix's ZD-neighbour counts, q0 = q[u, c_u] and
-    d = q[u, c_u + 1] - q0 (0.0 on the prefix's own nodes), adding v
-    changes the sum of q0 by (A @ d)[v] - q0[v]: one product scores all V
-    extensions of every prefix.
-    """
-    adj_w, base, q = _placement_tables(g, scale)
-    idx = (adj_w @ masks).astype(np.intp)
-    idx += base[:, None]
-    q0 = q.take(idx)
-    # on a prefix's own nodes idx + 1 can reach the next node's table (or
-    # one past the end), so those differences are zeroed
-    d = q.take(idx + 1, mode="clip") - q0
-    d[masks] = 0.0
-    return (q0.sum(axis=0) - q0) + adj @ d

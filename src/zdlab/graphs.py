@@ -28,14 +28,15 @@ class Graph:
     ``indices[indptr[u]:indptr[u + 1]]``, sorted ascending, both int32 and
     read-only, and ``degrees`` holds their counts (int32, read-only).
     ``edges`` may list an edge in either direction and more than once;
-    self-loops and out-of-range ids are rejected.
+    self-loops, out-of-range ids and a node count outside 1..2**31 - 1 (the
+    int32 id range) are rejected.
     """
 
     __slots__ = ("n", "indptr", "indices", "degrees")
 
     def __init__(self, n: int, edges):
-        if n < 1:
-            raise ValueError("graph needs at least one node")
+        if not 1 <= n <= 2**31 - 1:  # ids are int32
+            raise ValueError(f"node count {n} must lie in 1..{2**31 - 1}")
         ends = np.array([*edges] or np.empty((0, 2)), dtype=np.int64)
         if ends.ndim != 2 or ends.shape[1] != 2:
             raise ValueError("edges must be (u, v) pairs")

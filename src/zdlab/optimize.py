@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExhaustiveCapError
-from .field import Deployment, _extension_scores, objective_from_mask
+from .field import Deployment, _placement_tables, objective_from_mask
 from .game import PayoffScale
 from .graphs import Graph, adjacency_matrix
 
@@ -159,9 +159,33 @@ def lex_combinations(n: int, k: int, rows: int):
         yield np.fromiter(flat, dtype=np.intp, count=m * k).reshape(m, k)
 
 
+def _extension_scores(g: Graph, adj: np.ndarray, masks: np.ndarray,
+                      scale: PayoffScale) -> np.ndarray:
+    """First-order scores of one-node extensions. ``adj`` is ``g``'s
+    :func:`adjacency_matrix` and ``masks`` a (V, P) boolean array, one
+    prefix per column; entry [v, p] of the (V, P) result approximates
+    :func:`objective_from_mask`'s score of prefix p plus node v, for each v
+    outside prefix p.
+
+    With c the prefix's ZD-neighbour counts, q0 = q[u, c_u] and
+    d = q[u, c_u + 1] - q0 (0.0 on the prefix's own nodes), adding v
+    changes the sum of q0 by (A @ d)[v] - q0[v]: one product scores all V
+    extensions of every prefix.
+    """
+    adj_w, base, q = _placement_tables(g, scale)
+    idx = (adj_w @ masks).astype(np.intp)
+    idx += base[:, None]
+    q0 = q.take(idx)
+    # on a prefix's own nodes idx + 1 can reach the next node's table (or
+    # one past the end), so those differences are zeroed
+    d = q.take(idx + 1, mode="clip") - q0
+    d[masks] = 0.0
+    return (q0.sum(axis=0) - q0) + adj @ d
+
+
 def _record_slack(n: int) -> float:
-    """Margin by which :func:`_extension_scores` may undercut a strict
-    record of the kernel's scores on a V = ``n`` graph.
+    """Margin by which :func:`_extension_scores` may undercut a subset the
+    tie rule could accept on a V = ``n`` graph.
 
     An approximation and a kernel score are each a floating-point sum of at
     most m = 2n + 2 terms in [-1, 1] (a difference q1 - q0 counts as one
@@ -169,8 +193,8 @@ def _record_slack(n: int) -> float:
     value, gamma_m = m u / (1 - m u), u = 2**-53, in any summation order
     (Higham, *Accuracy and Stability of Numerical Algorithms*, sec. 4.2).
     They differ by at most E = 2 m gamma_m, and a subset that beats every
-    earlier kernel score has an approximation above every earlier
-    approximation minus 2 E.
+    earlier kernel score, as each subset the tie rule accepts does, has an
+    approximation above every earlier approximation minus 2 E.
     """
     m = 2 * n + 2
     gamma = m * 2.0 ** -53 / (1.0 - m * 2.0 ** -53)
@@ -211,9 +235,11 @@ def optimize_exhaustive(g: Graph, k: int, scale: PayoffScale):
     extended by every v > max(T). :func:`_extension_scores` scores all
     extensions of a block of prefixes at once; only the subsets whose
     approximation exceeds the approximate running maximum before them,
-    minus :func:`_record_slack`, can be strict records of the kernel's
-    scores, and only those are re-scored by :func:`objective_from_mask`,
-    ``RESCORE_ROWS`` per call.
+    minus :func:`_record_slack`, are subsets the tie rule could accept (it
+    accepts only strict records, as the kernel's running maximum never
+    exceeds the best plus its margin), and only those are re-scored by
+    :func:`objective_from_mask`, ``RESCORE_ROWS`` per call, and passed
+    through the rule in lexicographic order.
     The prefix blocks come from :func:`_plan_blocks`, kept per shape by
     :func:`_cached_plan` while they are small.
     """
@@ -228,7 +254,7 @@ def optimize_exhaustive(g: Graph, k: int, scale: PayoffScale):
     slack = _record_slack(n)
     rows = max(1, EXHAUSTIVE_BLOCK // n)
     best, best_score = None, -math.inf
-    seen_approx = seen_max = -math.inf
+    seen_approx = -math.inf
     # a plan of at most 32 blocks' worth of mask entries (512 KB for both
     # arrays at the default block) is built once per shape; a larger one
     # streams, so memory stays O(block)
@@ -256,16 +282,10 @@ def optimize_exhaustive(g: Graph, k: int, scale: PayoffScale):
             cand = masks[:, cp].T
             cand[np.arange(len(cp)), cv] = True
             exact = objective_from_mask(g, cand, scale)
-            # objectives are nonnegative, so the tie margin grows with the
-            # best and only a strict running maximum can replace it: step
-            # through those records with the sequential rule
-            records = np.maximum.accumulate(np.maximum(exact, seen_max))
-            rises = np.flatnonzero(exact > np.concatenate(([seen_max], records[:-1])))
-            for i, score in zip(rises.tolist(), exact[rises].tolist()):
+            for i, score in enumerate(exact.tolist()):
                 # near-equal scores count as ties so rounding noise cannot
                 # steal the win from the lexicographically first subset
                 if best is None or score > best_score + 1e-12 * max(1.0, abs(best_score)):
                     best, best_score = cand[i], score
-            seen_max = records[-1]
     dep = Deployment(g, frozenset(np.flatnonzero(best).tolist()), scale)
     return dep, best_score

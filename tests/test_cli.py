@@ -201,7 +201,10 @@ class TestLoadConfig:
                       {"repetitions": 0},
                       {"ratio": {"mode": "guess"}},
                       {"scale": {"a": 0, "k": 1, "b": 0.5}},
-                      {"topology": {"type": "blob", "n": 5}}):
+                      {"topology": {"type": "blob", "n": 5}},
+                      # neither 'type' and 'n' nor 'trace'
+                      {"topology": {}}, {"topology": {"type": "ring"}},
+                      {"topology": {"n": 5, "seed": 1}}):
             with pytest.raises(ConfigError):
                 load_config(base_config(**patch))
 
@@ -274,6 +277,46 @@ class TestSweep:
                                       k_range={"min": 1, "max": 12}))
         with pytest.raises(ConfigError):
             run_sweep(cfg)
+
+    @pytest.mark.parametrize("min_contacts, degree", [(1, 3), (2, 2)])
+    def test_trace_topology_sweep(self, tmp_path, min_contacts, degree):
+        # a 12-node ring seen twice per pair, and its six diameters once:
+        # two contacts leave the ring, one adds the diameters
+        trace = tmp_path / "contacts.txt"
+        ring = [f"n{i} n{(i + 1) % 12} {t} {t + 1}" for t in (0, 5)
+                for i in range(12)]
+        trace.write_text("\n".join(ring + [f"n{i},n{i + 6}" for i in range(6)])
+                         + "\n")
+        cfg = load_config(base_config(
+            tmp_path, topology={"trace": str(trace),
+                                "min_contacts": min_contacts}))
+        assert zdlab.cli.build_graph(cfg.topology).degrees.tolist() == (
+            [degree] * 12)
+        rows = run_sweep(cfg)
+        assert [(r["K"], r["repetition"]) for r in rows] == [
+            (1, 0), (1, 1), (2, 0), (2, 1)]
+        for row in rows:
+            zd_set = [int(u) for u in row["zd_set"].split(";")]
+            assert len(zd_set) == row["K"] and set(zd_set) <= set(range(12))
+            assert row["zd_mean_degree"] == degree
+        with open(cfg.output) as fh:
+            assert fh.readline().strip() == CSV_VERSION
+            records = list(csv.DictReader(fh))
+        assert len(records) == 8
+        assert [r["zd_set"] for r in records[:4]] == [r["zd_set"] for r in rows]
+        means = [r for r in records if r["repetition"] == "mean"]
+        assert [float(r["zd_mean_degree"]) for r in means] == [degree] * 2
+
+    def test_missing_trace_file_exit_code(self, tmp_path, capsys):
+        missing = tmp_path / "contacts.txt"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(
+            tmp_path, topology={"trace": str(missing)})))
+        assert main(["sweep", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_std_zero_for_single_rep(self, tmp_path):
         path = tmp_path / "one.csv"
@@ -712,6 +755,19 @@ class TestMain:
         assert main(["metrics", "--graph", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}:{line}: {fault}\n"
 
+    @pytest.mark.parametrize("command", ["metrics", "opt", "field"])
+    def test_node_count_past_id_range_exit_code(self, tmp_path, capsys,
+                                                command):
+        # refused before any array is built, so a count past int64 cannot
+        # overflow the int64 arc keys nor one past int32 wrap the int32 ids
+        path = tmp_path / "huge.txt"
+        path.write_text("V 100000000000000000000\n0 1\n")
+        argv = {"metrics": [], "opt": ["--K", "1"], "field": ["--zd", "0"]}
+        assert main([command, "--graph", str(path), *argv[command]]) == 2
+        assert capsys.readouterr().err == (
+            "error: node count 100000000000000000000 must lie in "
+            "1..2147483647\n")
+
     @pytest.mark.parametrize("doc", [
         [],
         "leaders",
@@ -749,6 +805,10 @@ class TestMain:
          "followers": [[0.5] * 4]},
         {"leaders": [dict(FULL_TABLE, **{"[0,0,0]": 0.5})],
          "followers": [[0.5] * 4]},
+        # a key that is not JSON, and a table that is not an object
+        {"leaders": [dict(FULL_TABLE, **{"[0, 0": 0.5})],
+         "followers": [[0.5] * 4]},
+        {"leaders": [[]], "followers": [[0.5] * 4]},
         {"leaders": [{k: v for k, v in FULL_TABLE.items() if k != "[1, 2, 1]"}],
          "followers": [[0.5] * 4]},
         {"leaders": [FULL_TABLE], "followers": [[0.5] * 6]},

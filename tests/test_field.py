@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zdlab.field
+import zdlab.optimize
 from zdlab.field import (Deployment, adjacency_matrix, coop_probability,
                          cooperator_ratio, evaluate, node_delta,
                          objective_from_mask)
@@ -304,7 +305,7 @@ class TestMaskObjective:
         d = q.take(idx + 1, mode="clip") - q0
         d[masks] = 0.0
         want = (q0.sum(axis=0) - q0) + adj @ d
-        got = zdlab.field._extension_scores(g, adj, masks, SCALE)
+        got = zdlab.optimize._extension_scores(g, adj, masks, SCALE)
         assert (got == want).all()
 
     def test_adjacency_matrix(self):

@@ -70,6 +70,9 @@ class TestUtility:
             utility(1, 0, 0, R)
         with pytest.raises(ValueError):
             utility(2, 0, 2, R)
+        for r in (0.0, -1.0):
+            with pytest.raises(ValueError, match="factor must be positive"):
+                utility(1, 1, 2, r)
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 9.0])
     def test_monotone_in_cooperating_neighbors(self, r):

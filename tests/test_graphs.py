@@ -120,6 +120,19 @@ class TestGraph:
         assert g.edge_count == 0 and g.edges() == []
         assert [g.degrees[u] for u in range(4)] == [0, 0, 0, 0]
 
+    def test_node_count_range(self):
+        with pytest.raises(ValueError, match=r"0 must lie in 1\.\.2147483647"):
+            Graph(0, [])
+        # one past the int32 id range is refused before any array is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="2147483648 must lie in"):
+                Graph(2**31, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
     def test_round_trip(self, tmp_path):
         g = generate("mesh", 12, seed=3)
         path = tmp_path / "g.txt"

@@ -444,6 +444,24 @@ class TestDeterminant:
         with pytest.raises(ValueError):
             zd_determinant(tm, np.ones(8), 2)
 
+    def test_determinant_player_cap(self):
+        # 9 players: a 512-state full chain, one player past the cap
+        shape = GameShape(9, 2, 2, 19.0)
+        leaders, followers = random_profile(shape, np.random.default_rng(3))
+        tm = build_transition_matrix(shape, leaders, followers)
+        for route in (zd_determinant, determinant_dot):
+            with pytest.raises(ValueError, match="capped at 8 players"):
+                route(tm, np.ones(shape.n_states), 0)
+
+    def test_payoff_vector_length(self):
+        leaders, followers = random_profile(FIG_SHAPE,
+                                            np.random.default_rng(2))
+        tm = build_transition_matrix(FIG_SHAPE, leaders, followers)
+        for route in (zd_determinant, determinant_dot):
+            for length in (7, 9):
+                with pytest.raises(ValueError, match="length must match"):
+                    route(tm, np.ones(length), 0)
+
     def test_degenerate_normalization(self):
         # a reducible chain with two absorbing halves degenerates
         tm = _reducible_chain()
