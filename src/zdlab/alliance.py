@@ -42,7 +42,9 @@ class ZDParams:
 class SynthesisResult:
     """``f_unison[s, b]`` is f = chi (g_A - l) - (g_O - l) at the unison
     outcomes (:func:`unison_payoffs`), with l the ``baseline`` enforced:
-    ``params.l`` clamped into ``feasible_l_range``."""
+    ``params.l`` clamped into ``feasible_l_range``. ``certificate``
+    bounds |pi_O - chi pi_A - (1 - chi) params.l| against every outsider
+    behaviour (:func:`enforcement_bound`)."""
 
     strategy: LeaderStrategy
     f_unison: np.ndarray
@@ -145,10 +147,11 @@ def synthesize(params: ZDParams) -> SynthesisResult:
     The strategy table covers every leader index; indices reachable only
     when the alliance is split default to 0 (unreachable under coupling).
     A baseline up to 1e-9 beyond an end of ``feasible_l_range`` is
-    synthesized at that end; the certificate still measures the relation
-    at the baseline asked for. A game of over ``MAX_OUTSIDERS`` outsiders
-    or ``MAX_LUMPED_PLAYERS`` players is refused first, before any work
-    that grows with N.
+    synthesized at that end; the certificate (:func:`enforcement_bound`)
+    still bounds the relation at the baseline asked for. No chain is built
+    or solved. A game of over ``MAX_OUTSIDERS`` outsiders or
+    ``MAX_LUMPED_PLAYERS`` players is refused first, before any work that
+    grows with N.
     """
     shape = params.shape
     check_lumped(shape)
@@ -181,17 +184,38 @@ def synthesize(params: ZDParams) -> SynthesisResult:
     strategy = _alliance_strategy(shape, f, phi)
     result = SynthesisResult(strategy, f, l, phi, interval, math.nan, params)
     # nothing else holds the result yet, so the certificate is set in place
-    object.__setattr__(result, "certificate",
-                       verify_enforcement(result, _default_outsiders(shape)))
+    object.__setattr__(result, "certificate", enforcement_bound(result))
     return result
+
+
+def enforcement_bound(result: SynthesisResult) -> float:
+    """Bound on |pi_O - chi pi_A - (1 - chi) params.l| that holds whatever
+    the outsiders play, memory-one or not, read from the strategy table.
+
+    The alliance stays in unison, so it reads its table p only at the
+    reachable unison indices, where p = e_C + phi f (e_C: 1 at a cooperate
+    index) up to ``gap``. Any stationary vector or time average v of the
+    play has sum v (p - e_C) = 0 (Akin's lemma: Press and Dyson, PNAS
+    2012; Hilbe, Wu, Traulsen and Nowak, PNAS 2014, for alliances), so
+    |sum v f| <= gap / |phi|: the relation holds at ``baseline`` to that,
+    and at ``params.l`` to (1 - chi) |params.l - baseline| more.
+    """
+    params, phi = result.params, result.phi
+    outcome, unison, cooperate = _strategy_indices(params.shape)
+    error = result.strategy.table - cooperate - phi * result.f_unison.take(
+        outcome)
+    gap = float(np.abs(error[unison]).max())
+    return (gap / abs(phi)
+            + (1.0 - params.chi) * abs(params.l - result.baseline))
 
 
 @functools.lru_cache(maxsize=64)
 def _strategy_indices(shape):
-    """Per-shape arrays of ``_alliance_strategy``, each shaped like a
-    leader table: the flat index into the (2, N + 1) ``f`` array of the
-    unison outcome (s, b) behind each index, whether the index is
-    reachable in unison, and whether it is a cooperate index."""
+    """Per-shape arrays of ``_alliance_strategy`` and
+    ``enforcement_bound``, each shaped like a leader table: the flat index
+    into the (2, N + 1) ``f`` array of the unison outcome (s, b) behind
+    each index, whether the index is reachable in unison, and whether it
+    is a cooperate index."""
     nl, na, n = shape.n_leaders, shape.n_alliance, shape.n_players
     s, x, y = np.indices(leader_table_shape(shape))
     cooperate = s == COOPERATE
@@ -217,16 +241,6 @@ def _alliance_strategy(shape, f, phi):
             f"({1 - s0}, {x0}, {y0}) escapes [0, 1]"
         )
     return LeaderStrategy(0, np.clip(p, 0.0, 1.0))
-
-
-@functools.lru_cache(maxsize=64)
-def _default_outsiders(shape):
-    # shared between calls: the strategy tables are read-only
-    leaders = [LeaderStrategy.constant(i, shape, 0.5)
-               for i in range(shape.n_alliance, shape.n_leaders)]
-    followers = [FollowerStrategy.constant(j, shape, 0.5)
-                 for j in range(shape.n_leaders, shape.n_players)]
-    return tuple(leaders + followers)
 
 
 def random_outsiders(shape: GameShape, rng):

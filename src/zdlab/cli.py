@@ -2,8 +2,9 @@
 
 Subcommands: topo, ingest, metrics, synth, verify, field, opt, sweep.
 Exit codes: 0 success, 2 configuration or input error, 3 infeasibility,
-4 numerical failure (the stationary solve missed its residual target, or
-the determinant normalization degenerated), 141 stdout closed by its reader
+4 numerical failure (the stationary solve missed its residual target or
+found no finite nonnegative solution, or the determinant normalization
+degenerated), 141 stdout closed by its reader
 (a broken pipe; nothing more is printed).
 """
 

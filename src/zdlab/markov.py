@@ -293,7 +293,8 @@ def stationary(tm: TransitionMatrix) -> StationaryVector:
     minimum-norm solution of ``np.linalg.lstsq`` on the same system, a
     positive mix of the closed classes' stationary vectors (their supports
     are disjoint), with the same checks, as path ``"lstsq"``. Raises
-    ConvergenceError with the better attempt's residual when both miss.
+    ConvergenceError with the better attempt's residual when both miss,
+    and with residual inf when neither yields a vector to measure.
     """
     m = tm.matrix
     a = m.T + 1.0
@@ -307,6 +308,9 @@ def stationary(tm: TransitionMatrix) -> StationaryVector:
             if resid <= _TOL:
                 return StationaryVector(sol, resid, path)
             best = min(best, resid)
+    if best == np.inf:
+        raise ConvergenceError(
+            "stationary solve found no finite nonnegative solution", best)
     raise ConvergenceError(
         f"stationary solve missed the residual target (best residual "
         f"{best:.3e})", best

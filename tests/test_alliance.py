@@ -11,10 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zdlab import alliance, game, markov
-from zdlab.alliance import (ZDParams, _default_outsiders, _phi_interval,
-                            _zero_band, alliance_admissible, dominance_check,
-                            feasible_l_range, incentive_menu,
-                            random_outsiders, stationary_payoffs, synthesize,
+from zdlab.alliance import (ZDParams, _phi_interval, _zero_band,
+                            alliance_admissible, dominance_check,
+                            enforcement_bound, feasible_l_range,
+                            incentive_menu, random_outsiders,
+                            stationary_payoffs, synthesize,
                             verify_enforcement)
 from zdlab.errors import InfeasibleError
 from zdlab.game import (GameShape, count_cells, count_payoffs, payoff_vectors,
@@ -47,9 +48,9 @@ PAYOFF_SHAPES = [shape for n in range(2, 11) for nl in range(1, n + 1)
 # count payoffs, then per chi in (0, 0.3) and l at l_min, the midpoint and
 # l_max, synthesize's f_unison, strategy table, f_vector, phi and
 # certificate (or the InfeasibleError message). It pins the payoff rule
-# and every synthesis output on it bit for bit; the lumped chains have at
-# most 64 states, so no solve depends on the BLAS thread count.
-PAYOFF_GOLDEN = "df6e9fbdce9fa6ca"
+# and every synthesis output on it bit for bit; synthesize solves no
+# chain, so nothing in it depends on the BLAS thread count.
+PAYOFF_GOLDEN = "b220a2cfa7f6b355"
 
 
 def count_f(shape, chi, l):
@@ -132,6 +133,21 @@ def full_chain_payoffs(result, outsiders):
     v = stationary(TransitionMatrix(m, shape)).vector
     pv = payoff_vectors(shape)
     return float(v @ pv.alliance[unison]), float(v @ pv.outsiders[unison])
+
+
+def hand_built_table(shape, f, phi):
+    """The ZD table e_C + phi f[s, b] by a scalar loop over the leader
+    indices (s, x, y), with b = s + x + y cooperators, and 0 where the
+    alliance is split. Returns the table and its reachable unison indices:
+    the other alliance members all cooperated (s = 1) or all defected."""
+    table = np.zeros(markov.leader_table_shape(shape))
+    unison = np.zeros(table.shape, dtype=bool)
+    for s, x, y in np.ndindex(table.shape):
+        if (x >= shape.n_alliance - 1 if s
+                else x <= shape.n_leaders - shape.n_alliance):
+            unison[s, x, y] = True
+            table[s, x, y] = min(max(s + phi * f[s, s + x + y], 0.0), 1.0)
+    return table, unison
 
 
 def pure_outsiders(outsiders):
@@ -296,7 +312,7 @@ class TestSynthesis:
             assert result.f_vector[state] == pytest.approx(result.f_unison[key])
 
     def test_f_vector_built_only_when_read(self, monkeypatch):
-        # the certificate runs on the lumped chain: nothing in synthesize
+        # the certificate reads the strategy table: nothing in synthesize
         # needs the 2^N states
         shape, chi, l = GameShape(6, 5, 4, 15.0), 0.3, 9.0
         sizes, cells, vectors = [], [], []
@@ -454,12 +470,81 @@ class TestEnforcement:
     @pytest.mark.parametrize("n", [20, 200, 1024])
     def test_nine_outsiders_certified_at_range_ends(self, n):
         # 1,024 lumped states, solved directly: a power loop stopped at an
-        # absolute step of 1e-12 left certificates that grew with the
-        # payoff scale, 9.9e-9 at N = 20 and 1.7e-7 at N = 200
+        # absolute step of 1e-12 left residuals that grew with the payoff
+        # scale, 9.9e-9 at N = 20 and 1.7e-7 at N = 200
         shape = GameShape(n, n - 5, n - 9, 2.0 * n + 3.0)
+        rng = np.random.default_rng(n)
         for chi in (0.0, 0.3):
             for l in feasible_l_range(chi, shape):
-                assert synthesize(ZDParams(chi, l, shape)).certificate <= 1e-8
+                result = synthesize(ZDParams(chi, l, shape))
+                assert result.certificate <= 1e-8
+                assert verify_enforcement(
+                    result, random_outsiders(shape, rng)) <= 1e-8
+
+    def test_certificate_bounds_chain_on_every_split(self):
+        # the certificate bounds the relation whatever the outsiders play:
+        # every admissible split of N = 2..10 at r = 2N + 3, both range
+        # ends and the midpoint, against an interior draw and a pure one
+        checked = 0
+        for shape in PAYOFF_SHAPES:
+            rng = np.random.default_rng([shape.n_players, shape.n_leaders,
+                                         shape.n_alliance])
+            for chi in (0.0, 0.3):
+                l_min, l_max = feasible_l_range(chi, shape)
+                for l in (l_min, (l_min + l_max) / 2, l_max):
+                    result = synthesize(ZDParams(chi, l, shape))
+                    interior = random_outsiders(shape, rng)
+                    for outsiders in (interior, pure_outsiders(interior)):
+                        assert (verify_enforcement(result, outsiders)
+                                <= result.certificate + 1e-12)
+                        checked += 1
+        assert checked == 960
+
+    @pytest.mark.parametrize("delta", [1e-9, 1e-6, 1e-3])
+    def test_certificate_catches_moved_entry(self, delta):
+        # a hand-built ZD table with one reachable unison entry moved by
+        # delta: the bound grows to |delta| / |phi|, and the chain's
+        # residual stays within it against interior and pure outsiders
+        for shape in (FIG_SHAPE, GameShape(5, 4, 3, 13.0),
+                      GameShape(10, 7, 6, 23.0)):
+            rng = np.random.default_rng([shape.n_players, shape.n_alliance])
+            for chi in (0.0, 0.3):
+                l_min, l_max = feasible_l_range(chi, shape)
+                result = synthesize(ZDParams(chi, (l_min + l_max) / 2, shape))
+                phi = result.phi
+                table, unison = hand_built_table(shape, result.f_unison, phi)
+                exact = dataclasses.replace(
+                    result, strategy=LeaderStrategy(0, table))
+                assert enforcement_bound(exact) <= 1e-13
+                for index in rng.permutation(np.argwhere(unison))[:3]:
+                    moved, index = table.copy(), tuple(index)
+                    moved[index] += (delta if moved[index] + delta <= 1.0
+                                     else -delta)
+                    wrong = dataclasses.replace(
+                        result, strategy=LeaderStrategy(0, moved))
+                    bound = enforcement_bound(wrong)
+                    assert bound >= (delta - 1e-15) / abs(phi)
+                    interior = random_outsiders(shape, rng)
+                    for outsiders in (interior, pure_outsiders(interior)):
+                        assert (verify_enforcement(wrong, outsiders)
+                                <= bound + 1e-12)
+
+    def test_synthesize_solves_no_chain(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a chain was built or solved")
+
+        monkeypatch.setattr(alliance, "build_lumped_matrix", refuse)
+        monkeypatch.setattr(alliance, "stationary", refuse)
+        for shape in (FIG_SHAPE, GameShape(10, 9, 9, 23.0),
+                      GameShape(1024, 1019, 1015, 2051.0)):
+            for chi in (0.0, 0.3):
+                for l in feasible_l_range(chi, shape):
+                    result = synthesize(ZDParams(chi, l, shape))
+                    assert result.certificate <= 1e-8
+        # verify still solves the chain, so the patch is in effect
+        with pytest.raises(AssertionError, match="a chain was built"):
+            verify_enforcement(result, random_outsiders(
+                shape, np.random.default_rng(0)))
 
     def test_wrong_target_detected(self):
         result = synthesize(ZDParams(0.0, 4.0, FIG_SHAPE))
@@ -546,15 +631,6 @@ class TestEnforcement:
                         checked += 1
         assert checked == 552
 
-    def test_default_outsiders_cached(self):
-        shape = GameShape(5, 4, 3, 13.0)
-        first = _default_outsiders(shape)
-        assert _default_outsiders(shape) is first
-        assert len(first) == 2
-        assert all(s.owner == i for i, s in enumerate(first, start=3))
-        tables = [first[0].table, first[1].probs]
-        assert all((t == 0.5).all() and not t.flags.writeable for t in tables)
-
     def test_shape_caches_bounded_across_r(self):
         # a shape includes r, so a scan over r must not keep every table;
         # the lumped chain's plan and cells are keyed by the alliance size,
@@ -569,8 +645,7 @@ class TestEnforcement:
             synthesize(ZDParams(0.0, (lo + hi) / 2, shape))
         for cached in (game.payoff_vectors, game.lumped_payoff_vectors,
                        game.unison_payoffs, markov._chain_plan,
-                       alliance._strategy_indices,
-                       alliance._default_outsiders):
+                       alliance._strategy_indices):
             assert cached.cache_info().currsize <= 64, cached.__name__
 
     def test_scan_over_r_keeps_no_count_grid(self):
@@ -602,8 +677,9 @@ class TestEnforcement:
 
     @pytest.mark.parametrize("dims", [(40, 36, 35), (200, 199, 199)])
     def test_large_games_without_full_chain(self, monkeypatch, dims):
-        # the lumped chain of 2^(outsiders + 1) states is all that synth
-        # and verify build: no table of the 2^N states is made
+        # the lumped chain of 2^(outsiders + 1) states is all that verify
+        # builds, and synth builds no chain: no table of the 2^N states is
+        # made
         n = dims[0]
         shape = GameShape(*dims, 2.0 * n + 3.0)
         sizes = []

@@ -13,6 +13,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,48 +125,56 @@ SYNTH_GOLDENS = [
 ]
 
 # `zdlab synth` digests (of SYNTH_GOLDENS and of the README examples in
-# test_synth_output_golden) that changed when chains of up to 64 states,
-# then solved by power iteration, began to be solved directly: the
-# certificate (`residual`) moved in its last digits. The tests keep the
-# digests recorded before, which name them, and check the output against
-# the re-pinned value.
+# test_synth_output_golden) that changed when the certificate (`residual`)
+# became the per-cell ZD bound, read from the strategy table instead of a
+# chain solve: only that value moved, at rounding level. The tests keep
+# the digests recorded before, which name them, and check the output
+# against the re-pinned value.
 SYNTH_REPINS = {
     "c46493a270427261bc4a276bbafd11ff2dfb30456f1f8ddb884cb78473163a0d":
-        "48b80f409882b2c4257d07a7d1a39bb6eb308f05c18eb3bfd02330b842261ab1",
+        "c98293866b8a434963315a6a6b4299777f41f81e97e0c6b3aeb076fff8b41c72",
     "c0f72aa81c782e5572f5c695c6da44f444aab4f6a565277d92a3104c5f64b614":
         "b3019d9d91a859d51af9e15250b172e9dba5b8164799f64ba17b9a1c1f89d9ea",
     "ce3f57f60420a7295ceda50db09d8ed6e7fecfff4cc0ee7a11423e1286c6e1d0":
-        "04c296ab0b6ea3c61565a88b2b7b61c0a77f161369ab6af911666e3d86336410",
+        "991fd955042c5c1c6789c679aa14ce2e2ab049fb824469dbd728938fadd318f7",
+    "b1a3ae0fbeb95cea2ed6025defd8e980d900cd4159f8dc93c26cb0dbe653a6a1":
+        "6db57fc185d2179b39ac07e9d608a6aafe5afcdf0e68ed0691eff2fece6d5813",
     "9403aeb1ab8c7c47c33b848f803dc42a04964bd3adb303e134cc073d00472e89":
-        "e87949cbeff61f94404d0a534dfec694096d910cfe03767fb081a84335c5d333",
+        "62a2c48ca05c1f29b45b71e909de8f0ee06927a41aef4e8737a44a82b17ec1dc",
     "d1c46ab986aabe16e0c74546b5baeb26968296b58cbf1d1d87c1299bc8c46a36":
-        "6f97e1d78783ccb14c9f4560319dddcf8a73c2e7b5e08f07fd62df69b62599bb",
+        "92a6636cc6a6c465d6a8ce0372c1b9f902716dfd1c564d30cb7d4e502be2ee4b",
+    "d7e6df43b620113a58fa7ce65a275ed437df48b04d1b05d83b598d1cdc5453cd":
+        "fce6afd110879d372aa5b5e03defd5a4f0c73135832db755b5000fe0964061f3",
     "2b7e52da1ef6098eabe0a6e14d40947b63e64ff29f28afb81ad078bfd0502077":
-        "2fdc090893a932a8537216fef15849406f35405380a47e541ba4d185956b26b0",
+        "64978a67d50fe9c641c18cbf87660312c1dfb6a70a20649b8a0a15106a36b1f5",
     "bb2d84915402536d23435335c9032c1ad7e50a2b007057d49463c2a76c402b93":
-        "d04ab31d224246fb6c6033716ae0ef8e546c55c4d4b82b454ae3d9f881e6c08f",
+        "42257d964c256db2ab6220c117d6dcf207a42182649efbf29f8cd086e638715d",
     "e3a19ea46b2e58ec5be1b8b8d938ea8c754f79e66b15679c2cd16b4feb3b7a90":
-        "52ae79c7de031c93347dc20f7a87bc4909df93670743ef7c9b21521f73215afd",
+        "48a96ef0b9033489c9ce1b439cafe1496faa83c3dc1bba2c9f8011f1b59d7a6f",
     "b91a5ee0a107fb50f577935039745947699d08c81f60f35d828ae25dad0f2bbf":
-        "c7fe7f2900157075b7cabc0f82e7b8dd6e2607ccfbf76c7a33ceb582f7a6acfb",
+        "9b376e0e9bd9d4376ac1814759e5a15ffcf6ea3cc995d1df827651cc6b1bb9a3",
     "d62c79605334577b9054acfe81cf75666120aca1714e6dc8c3438d60e37042de":
-        "977cbb549ac80bef8e18e14be92aa3e6278e46e54fff50b5f5fbfdc1c5fd8445",
-    "d0ccc829ee6e9ffab6af219e1726b3ba2fcb947c5ba99298ca4878b746884d8d":
-        "ae399f68fc9c8173a6e1a1930d79080d6c04f017cd5c7e8bfd285a8c1f81cfc6",
+        "4c1f7db7cc7f7f95d1d7a7e85466c9f33e5f2291e07bb826868d17f9ee9cdce4",
     "843cc622787de0a6e58be5d186a8e682543c851dcd60caa75582c675e821252d":
-        "71f8ac2befae52d4960ac8b54d567a42c4cf79cc42f5b5c6d99e81a0e78de4a3",
+        "6e6e007fe77dee9e141755effb0dd207e30181d8b4bde2a39d86d797e1ffd248",
     "ecb6edfe59de59a7a03d124b637965421df394684f94442039bf21c87ce3ab4f":
-        "c7010d21673b1fa957a842f8dfb7c06c7f414b13baaba9b741fe7ea954e140c8",
+        "80f018fe9cfe26b869395c84f49e4c6655d8434ca3fb87e149a0d71c06ce07ab",
+    "f805296103e625ca722e272cb48e57379453e9d5f335f076d9a3f21f6f5b17de":
+        "c6e556f872e7090b6c8a0940153809ed67fa57ca4b447c6977fba1d3c7925c75",
     "b2188c41c77aa00757b6c5cba91a162271355a2f3e41c0d23ee0fbb129db49d2":
-        "34ec3dffd36f5d4ee6782f9cc2dd8aa28da683f1bc2e4a8d2078a94e91dbbd2b",
+        "45b06ccb4fc295edbbc425b473d156d877bc0e0e99fcc354377b1841a5099cc7",
     "6e214afdc1260e5a020df0d01f3ffe441eb733d8b45fe67b9a0384d52808ab3e":
-        "94e6d6fda98d5bebe26b60c38cb04e6af5d0fae0a373941f7e68b5ccecb2bc5a",
+        "cad10613b7293204c1a896ac821824f5cda6d7bc6746ecf04a575ec0efc45662",
+    "f39d63bbe3732521e44fcb199c054e34993bcc5fbf082e84ea50034ba0377bda":
+        "5534def72b39002821e8e9fa97b6993cb203ddf0ebb9a8ec9ba2b92a7821209e",
     "cc42c6f53fd97f2e850c2cac07bd1d86a96d4d61bbd17c37e80ba52ca6a0d3d3":
-        "21290c6ac68b2da996a01ebc488cfd426f49a74b3c86e08941f31b4113a6cb4e",
+        "a816bc05bd1ce9af9589d4ddd06d8a112ab7d80af69fd1a78dd5671ccbfdb345",
     "17a5d5e6af8631077511021ddab9f83802ff43d9abf597859fa5200472e8718c":
-        "d66d8183d00025f3bb1d57e7a7111e73f7af951af5f75018f5706d611ec960e8",
+        "a715e000b1589e1fad990489d8c51981026435f32ae4c7c39a95fdefe31ba90b",
     "6d09d4f68b6262d0415a796474abace204dcd7b33998f77ad73c5d712ea216f2":
-        "7236fcd8dc658a0be26c54cf0047cd4a2e5106204d7eaafa3ea7d1fda4bbbfa3",
+        "ab9f0b34ab3c924c599ae98b19e3d18c1d2fb1807da3c42a03e9fcce0ee3a3e8",
+    "a86f32bb74b1d9e00225e8249b4bda1d1896d08c0f86aa4a2a919c15007a7184":
+        "e00a7634c93353c6fcdf10ab0a9f1dc4fe1e1d1c526012c2fbfa1b96ed79c396",
 }
 
 
@@ -413,7 +422,7 @@ class TestMain:
     ])
     def test_synth_output_golden(self, capsys, argv, digest):
         # sha256 of stdout; its last value is the certificate residual,
-        # solved on the alliance-lumped chain
+        # the per-cell ZD bound
         assert main(["synth", *argv]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == SYNTH_REPINS.get(
@@ -481,6 +490,22 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_no_stationary_vector_exit_code(self, monkeypatch, capsys):
+        # neither solve yields a vector: no residual was measured, and the
+        # message says so instead of printing a best residual of inf
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, **kw: (
+            np.full(len(b), np.nan), None, 0, None))
+        rc = main(["verify", "--players", "3", "--alliance", "2", "--r", "9",
+                   "--l", "5"])
+        assert rc == 4
+        assert capsys.readouterr().err == (
+            "numerical failure: stationary solve found no finite "
+            "nonnegative solution\n")
 
     @pytest.mark.parametrize("detail", [
         "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"

@@ -388,13 +388,15 @@ class TestStationary:
                                match="missed the residual target") as got:
                 stationary(markov.TransitionMatrix(m, FIG_SHAPE))
             assert got.value.residual == expected
-        # neither attempt finds a vector
+        # neither attempt finds a vector, so no residual is measured
         monkeypatch.setattr(np.linalg, "lstsq",
                             lambda *args, **kw: (np.full(8, np.nan),
                                                  None, 0, None))
         with pytest.raises(ConvergenceError) as got:
             stationary(markov.TransitionMatrix(m, FIG_SHAPE))
         assert got.value.residual == np.inf
+        assert str(got.value) == ("stationary solve found no finite "
+                                  "nonnegative solution")
 
     def test_follower_relabel_equivariance(self):
         shape = GameShape(4, 2, 2, 11.0)
