@@ -103,8 +103,8 @@ class TransitionMatrix:
 @dataclass(frozen=True)
 class StationaryVector:
     """Stationary distribution and the solve that found it: ``path`` is
-    ``"dense"`` (``np.linalg.solve``, a chain with one closed class) or
-    ``"lstsq"`` (the minimum-norm solution, a chain with several)."""
+    ``"dense"`` (``np.linalg.solve``, whose clipped vector met the target)
+    or ``"lstsq"`` (the minimum-norm solution, when the dense one missed)."""
 
     vector: np.ndarray
     residual: float
@@ -286,13 +286,14 @@ def stationary(tm: TransitionMatrix) -> StationaryVector:
     """Stationary distribution with residual ``max|vM - v| <= _TOL``.
 
     One direct solve of (M^T - I + 11^T) v = 1, whose solutions are exactly
-    the chain's stationary distributions; it is kept when it is finite,
-    nonnegative within 1e-12 (then clipped at 0 and normalized) and meets
-    the target, as path ``"dense"``. A chain with several closed classes
-    makes the system singular but consistent: the one fallback is the
-    minimum-norm solution of ``np.linalg.lstsq`` on the same system, a
-    positive mix of the closed classes' stationary vectors (their supports
-    are disjoint), with the same checks, as path ``"lstsq"``. Raises
+    the chain's stationary distributions; clipped at 0 and normalized, it
+    is kept when it meets the target, as path ``"dense"`` (on a singular
+    system, a stationary vector but not the minimum-norm one). A chain with
+    several closed classes makes the system singular but consistent: the
+    one fallback is the minimum-norm solution of ``np.linalg.lstsq`` on the
+    same system, a positive mix of the closed classes' stationary vectors
+    (their supports are disjoint), with the same test, as path ``"lstsq"``.
+    The residual test is the only acceptance rule. Raises
     ConvergenceError with the better attempt's residual when both miss,
     and with residual inf when neither yields a vector to measure.
     """
@@ -319,16 +320,14 @@ def stationary(tm: TransitionMatrix) -> StationaryVector:
 
 def _solution(a, ones, path):
     """Solution of ``a v = ones`` by ``np.linalg.solve`` (path ``"dense"``)
-    or ``np.linalg.lstsq``, clipped at 0 and normalized; None if the solve
-    fails or its solution is not finite and nonnegative within 1e-12."""
+    or ``np.linalg.lstsq``, clipped at 0 and normalized whatever its signs;
+    None if the solve fails or the clipped total is not positive and finite."""
     try:
         if path == "dense":
             sol = np.linalg.solve(a, ones)
         else:
             sol = np.linalg.lstsq(a, ones, rcond=None)[0]
     except np.linalg.LinAlgError:
-        return None
-    if not sol.min() >= -1e-12:  # also true on NaN
         return None
     total = np.maximum(sol, 0.0, out=sol).sum()
     return sol / total if 0.0 < total < np.inf else None

@@ -43,6 +43,13 @@ PAYOFF_SHAPES = [shape for n in range(2, 11) for nl in range(1, n + 1)
                  if alliance_admissible(
                      shape := GameShape(n, nl, na, 2.0 * n + 3.0))]
 
+# shapes (N, N - o + n_ol, N - o, r 2N + 3) for N = 3..40 with o = 1..9
+# outsiders, n_ol of them leaders: lumped chains of up to 1,024 states
+LUMPED_SHAPES = [shape for n in range(3, 41) for o in range(1, min(9, n - 1) + 1)
+                 for n_ol in range(o + 1)
+                 if alliance_admissible(shape := GameShape(
+                     n, n - o + n_ol, n - o, 2.0 * n + 3.0))]
+
 # sha256 prefix over PAYOFF_SHAPES of, per shape, the full-chain and
 # lumped payoff vectors and the unison rows k = 0 and n_alliance of the
 # count payoffs, then per chi in (0, 0.3) and l at l_min, the midpoint and
@@ -480,6 +487,51 @@ class TestEnforcement:
                 assert result.certificate <= 1e-8
                 assert verify_enforcement(
                     result, random_outsiders(shape, rng)) <= 1e-8
+
+    # pure outsiders (random draws rounded to 0/1) whose direct solutions
+    # have entries just below zero: the clipped vector meets the residual
+    # target, which alone decides, so each verifies
+    @pytest.mark.parametrize("dims, chi, end, seed", [
+        ((19, 15, 10), 0.3, 0, 3), ((19, 15, 10), 0.3, 1, 3),
+        ((24, 24, 16), 0.0, 1, 2), ((34, 32, 26), 0.0, 1, 1),
+        ((34, 34, 25), 0.0, 0, 1), ((40, 34, 31), 0.3, 0, 2)])
+    def test_pure_outsiders_verify_whatever_the_signs(self, dims, chi, end,
+                                                      seed):
+        shape = GameShape(*dims, 2.0 * dims[0] + 3.0)
+        l = feasible_l_range(chi, shape)[end]
+        outsiders = random_outsiders(shape, np.random.default_rng(seed))
+        assert verify_enforcement(synthesize(ZDParams(chi, l, shape)),
+                                  pure_outsiders(outsiders)) <= 1e-8
+
+    def test_several_classes_kept_on_dense_path(self):
+        # an 8-state unison chain with two closed classes, {0, 6, 7} and
+        # {2, 3}: the singular direct system still solves, to an entry
+        # below -1, and the clipped vector is a stationary one (on the
+        # first class), so the dense path keeps it; the relation holds on
+        # any stationary vector
+        shape = GameShape(10, 10, 8, 23.0)
+        result = synthesize(ZDParams(0.3, feasible_l_range(0.3, shape)[0],
+                                     shape))
+        outsiders = pure_outsiders(random_outsiders(
+            shape, np.random.default_rng(0)))
+        tm = markov.build_lumped_matrix(shape, [result.strategy, *outsiders],
+                                        [])
+        raw = np.linalg.solve(tm.matrix.T - np.eye(8) + 1.0, np.ones(8))
+        assert raw.min() < -1.0
+        sv = stationary(tm)
+        assert sv.path == "dense" and sv.residual <= 1e-12
+        assert verify_enforcement(result, outsiders) <= 1e-8
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(shape=st.sampled_from(LUMPED_SHAPES),
+           chi=st.sampled_from([0.0, 0.3]), end=st.sampled_from([0, 1]),
+           seed=st.integers(0, 3))
+    def test_pure_outsiders_verify_at_range_ends(self, shape, chi, end,
+                                                  seed):
+        l = feasible_l_range(chi, shape)[end]
+        outsiders = random_outsiders(shape, np.random.default_rng(seed))
+        assert verify_enforcement(synthesize(ZDParams(chi, l, shape)),
+                                  pure_outsiders(outsiders)) <= 1e-8
 
     def test_certificate_bounds_chain_on_every_split(self):
         # the certificate bounds the relation whatever the outsiders play:

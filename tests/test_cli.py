@@ -873,18 +873,32 @@ class TestMain:
 
     # pure outsiders at l_max of (3, 3, 2, r 9): on the full 2^N chain from
     # the uniform vector, the first read 2.5e-1 (closed classes of split
-    # alliance states) and the second spun for 3 s, then exited 4
-    @pytest.mark.parametrize("coop_low", [1, 0], ids=["split-class",
-                                                       "periodic"])
-    def test_pure_outsider_verifies(self, tmp_path, capsys, coop_low):
-        table = {"[0, 0, 0]": 1, "[0, 1, 0]": 0, "[0, 2, 0]": 1,
-                 "[1, 0, 0]": coop_low, "[1, 1, 0]": 1, "[1, 2, 0]": 0}
+    # alliance states) and the second spun for 3 s, then exited 4; the
+    # third, at l_min of (37, 37, 35, r 77) with chi 0.3, exited 4 while a
+    # solution whose transient entries round to -1.5e-12 was refused
+    # before its residual (2.2e-16) was measured
+    @pytest.mark.parametrize("case", ["split-class", "periodic",
+                                      "37-players"])
+    def test_pure_outsider_verifies(self, tmp_path, capsys, case):
+        if case == "37-players":
+            argv = ["verify", "--players", "37", "--leaders", "37",
+                    "--alliance", "35", "--r", "77", "--chi", "0.3",
+                    "--l", "3.7335907335907335"]
+            outsiders = zdlab.alliance.random_outsiders(
+                GameShape(37, 37, 35, 77.0), np.random.default_rng(7))
+            tables = [{json.dumps(list(index)): float(np.round(s.table[index]))
+                       for index in np.ndindex(s.table.shape)}
+                      for s in outsiders]
+        else:
+            argv = ["verify", "--players", "3", "--leaders", "3",
+                    "--alliance", "2", "--r", "9", "--chi", "0", "--l", "7"]
+            tables = [{"[0, 0, 0]": 1, "[0, 1, 0]": 0, "[0, 2, 0]": 1,
+                       "[1, 0, 0]": int(case == "split-class"),
+                       "[1, 1, 0]": 1, "[1, 2, 0]": 0}]
         path = tmp_path / "outsiders.json"
-        path.write_text(json.dumps({"leaders": [table], "followers": []}))
+        path.write_text(json.dumps({"leaders": tables, "followers": []}))
         start = time.perf_counter()
-        assert main(["verify", "--players", "3", "--leaders", "3",
-                     "--alliance", "2", "--r", "9", "--chi", "0", "--l", "7",
-                     "--outsider-file", str(path)]) == 0
+        assert main(argv + ["--outsider-file", str(path)]) == 0
         assert time.perf_counter() - start < 1.0
         out, err = capsys.readouterr()
         assert err == "" and float(out.split()[-1]) <= 1e-8

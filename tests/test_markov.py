@@ -336,8 +336,10 @@ class TestStationary:
         assert np.allclose(sv.vector, [0.0] + [1 / 7] * 7,
                            rtol=0.0, atol=1e-14)
 
-    def test_dense_rejects_negative_and_non_finite(self, monkeypatch):
-        # the same checks hold for the solve's and for lstsq's result
+    def test_solution_clips_any_sign_rejects_non_finite(self, monkeypatch):
+        # the same checks hold for the solve's and for lstsq's result: a
+        # negative entry is clipped whatever its size, and the residual
+        # test decides; a vector with no positive finite total is refused
         a = _system(_periodic_chain().matrix)
         ones = np.ones(8)
 
@@ -350,16 +352,33 @@ class TestStationary:
                 return (lambda *args, **kw: sol if name == "solve"
                         else (sol, None, 0, None))
 
-            for bad in ([0.5, -1e-11, 0.5], [np.nan, 0.5, 0.5],
-                        [np.inf, 0, 0], [0.0, 0.0, 0.0]):
+            for bad in ([np.nan, 0.5, 0.5], [np.inf, 0, 0],
+                        [0.0, 0.0, 0.0]):
                 monkeypatch.setattr(np.linalg, name, returning(bad))
                 assert markov._solution(a, ones, path) is None
-            monkeypatch.setattr(np.linalg, name,
-                                returning([0.5, -1e-13, 0.5]))
-            assert markov._solution(a, ones, path).tolist() == [0.5, 0.0,
-                                                                0.5]
+            for clipped in ([0.5, -1e-13, 0.5], [0.5, -1e-11, 0.5]):
+                monkeypatch.setattr(np.linalg, name, returning(clipped))
+                assert markov._solution(a, ones, path).tolist() == [
+                    0.5, 0.0, 0.5]
             monkeypatch.setattr(np.linalg, name, singular)
             assert markov._solution(a, ones, path) is None
+
+    def test_clip_off_the_chain_falls_to_lstsq(self, monkeypatch):
+        # a dense solution whose clipped vector is not stationary misses
+        # the residual target, so the real lstsq runs and decides
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "solve", lambda *args, **kw: np.array(
+            [0.6, -0.3, 0.7, 0.0, 0.0, 0.0, 0.0, 0.0]))
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *args, **kw: calls.append(1)
+                            or lstsq(*args, **kw))
+        sv = stationary(_periodic_chain())
+        assert sv.path == "lstsq" and calls == [1]
+        assert sv.residual <= 1e-12
+        expected = np.zeros(8)
+        expected[[0, 7]] = 0.5
+        assert np.allclose(sv.vector, expected, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 5, 37, 300])
     @pytest.mark.parametrize("miss", [1, 3, 16])
