@@ -44,7 +44,8 @@ class SynthesisResult:
     outcomes (:func:`unison_payoffs`), with l the ``baseline`` enforced:
     ``params.l`` clamped into ``feasible_l_range``. ``certificate``
     bounds |pi_O - chi pi_A - (1 - chi) params.l| against every outsider
-    behaviour (:func:`enforcement_bound`)."""
+    behaviour (:func:`enforcement_bound`). ``phi_interval`` is
+    (0, phi_max]: no phi < 0 fits (:func:`_phi_bound`)."""
 
     strategy: LeaderStrategy
     f_unison: np.ndarray
@@ -117,28 +118,26 @@ def _zero_band(chi, l, payoffs):
             + (1.0 + chi) * (scale * abs(l)))
 
 
-def _phi_interval(f, zero):
-    """Feasible scaling interval on each sign branch of the (2, N + 1)
-    unison table ``f`` (NaN where impossible); entries within ``zero`` of 0
-    set no bound. Cooperation outcomes need ``phi * f`` in [-1, 0],
-    defection outcomes in [0, 1]. Returns ``(pos_hi, neg_lo, violator)``:
-    a zero bound marks an empty branch, and ``violator`` is the outcome,
-    cooperation first and b ascending, from which both are empty.
+def _phi_bound(f, zero):
+    """Largest phi > 0 that the (2, N + 1) unison table ``f`` (NaN where
+    impossible) admits, and the first outcome, cooperation first and b
+    ascending, whose sign no phi > 0 fits (phi_max is then 0), or None.
+    Cooperation outcomes need phi f in [-1, 0], defection ones [0, 1];
+    entries within ``zero`` of 0 set no bound (phi_max is inf if none does).
+
+    No phi < 0 fits: with chi in [0, 1) and l >= 1 (as in
+    ``feasible_l_range``), f is (1 - chi)(l - 1) at (D, 0) and
+    (1 - chi)(l - r n_alliance / N) - 1 at (C, n_alliance); phi < 0 needs
+    the first <= 0 and the second >= 0, so l <= 1 and l > 1 at once.
     """
     # each entry's bound on phi, cooperation first: -1/f or 1/f; NaN if none
     bound = ([[-1.0], [1.0]]
              / np.where(np.abs(f) >= zero, f, np.nan)[::-1]).ravel()
-    # running bound of each branch; fmin and fmax pass over NaN
-    pos = np.fmin.accumulate(np.maximum(bound, 0.0))
-    neg = np.fmax.accumulate(np.minimum(bound, 0.0))
-    pos_hi, neg_lo = float(pos[-1]), float(neg[-1])
-    if math.isnan(pos_hi):  # no entry sets a bound
-        return math.inf, -math.inf, None
-    if pos_hi > 0.0 or neg_lo < 0.0:
-        return pos_hi, neg_lo, None
-    # pos >= 0 >= neg, so both branches are empty from where they meet
-    s, b = divmod(int(np.argmax(pos == neg)), f.shape[1])
-    return pos_hi, neg_lo, (1 - s, b)
+    phi_max = float(np.fmin.reduce(bound, initial=math.inf))  # skips NaN
+    if phi_max > 0.0:
+        return phi_max, None
+    s, b = divmod(int(np.argmax(bound <= 0.0)), f.shape[1])
+    return 0.0, (1 - s, b)
 
 
 def synthesize(params: ZDParams) -> SynthesisResult:
@@ -148,7 +147,9 @@ def synthesize(params: ZDParams) -> SynthesisResult:
     when the alliance is split default to 0 (unreachable under coupling).
     A baseline up to 1e-9 beyond an end of ``feasible_l_range`` is
     synthesized at that end; the certificate (:func:`enforcement_bound`)
-    still bounds the relation at the baseline asked for. No chain is built
+    still bounds the relation at the baseline asked for. phi is
+    ``params.phi`` if given, in (0, phi_max] (:func:`_phi_bound`), else
+    phi_max / 2 (a ValueError if no outcome bounds phi). No chain is built
     or solved. A game of over ``MAX_OUTSIDERS`` outsiders or
     ``MAX_LUMPED_PLAYERS`` players is refused first, before any work that
     grows with N.
@@ -166,23 +167,21 @@ def synthesize(params: ZDParams) -> SynthesisResult:
     unison = unison_payoffs(shape)
     f = chi * (unison.alliance - l) - (unison.outsiders - l)
     f.flags.writeable = False
-    pos_hi, neg_lo, violator = _phi_interval(f, _zero_band(chi, l, unison))
-    if pos_hi <= 0.0 and neg_lo >= 0.0:
-        where = f"outcome {violator}" if violator else "conflicting outcomes"
-        raise InfeasibleError(f"no nonzero scaling satisfies {where}")
-
-    if params.phi is not None:
-        phi = params.phi
-        ok = (0.0 < phi <= pos_hi) if phi > 0 else (neg_lo <= phi < 0.0)
-        if not ok:
-            raise InfeasibleError(f"scaling {phi} outside feasible interval")
-        interval = (0.0, pos_hi) if phi > 0 else (neg_lo, 0.0)
-    else:
-        interval = (0.0, pos_hi) if pos_hi >= -neg_lo else (neg_lo, 0.0)
-        phi = (interval[0] + interval[1]) / 2.0
+    phi_max, wrong = _phi_bound(f, _zero_band(chi, l, unison))
+    if wrong is not None:
+        raise InfeasibleError(f"no positive scaling satisfies outcome {wrong}")
+    phi = params.phi
+    if phi is None:
+        if phi_max == math.inf:
+            raise ValueError("f is within rounding of 0 at every outcome, "
+                             "so no outcome bounds phi: give one (--phi)")
+        phi = phi_max / 2.0
+    elif not 0.0 < phi <= phi_max:
+        raise InfeasibleError(f"scaling {phi} outside feasible interval")
 
     strategy = _alliance_strategy(shape, f, phi)
-    result = SynthesisResult(strategy, f, l, phi, interval, math.nan, params)
+    result = SynthesisResult(strategy, f, l, phi, (0.0, phi_max),
+                             math.nan, params)
     # nothing else holds the result yet, so the certificate is set in place
     object.__setattr__(result, "certificate", enforcement_bound(result))
     return result
@@ -197,7 +196,7 @@ def enforcement_bound(result: SynthesisResult) -> float:
     index) up to ``gap``. Any stationary vector or time average v of the
     play has sum v (p - e_C) = 0 (Akin's lemma: Press and Dyson, PNAS
     2012; Hilbe, Wu, Traulsen and Nowak, PNAS 2014, for alliances), so
-    |sum v f| <= gap / |phi|: the relation holds at ``baseline`` to that,
+    |sum v f| <= gap / phi: the relation holds at ``baseline`` to that,
     and at ``params.l`` to (1 - chi) |params.l - baseline| more.
     """
     params, phi = result.params, result.phi
@@ -205,7 +204,7 @@ def enforcement_bound(result: SynthesisResult) -> float:
     error = result.strategy.table - cooperate - phi * result.f_unison.take(
         outcome)
     gap = float(np.abs(error[unison]).max())
-    return (gap / abs(phi)
+    return (gap / phi
             + (1.0 - params.chi) * abs(params.l - result.baseline))
 
 

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zdlab import alliance, game, markov
-from zdlab.alliance import (ZDParams, _phi_interval, _zero_band,
+from zdlab.alliance import (ZDParams, _phi_bound, _zero_band,
                             alliance_admissible, dominance_check,
                             enforcement_bound, feasible_l_range,
                             incentive_menu, random_outsiders,
@@ -72,7 +72,9 @@ def reference_phi_interval(f, zero):
     """Scalar loop over the unison outcomes (s, b) of the (2, N + 1) table
     ``f``, cooperation first and b ascending, skipping impossible (NaN)
     outcomes and entries within ``zero`` of 0: the feasible scaling
-    interval ``(pos_hi, neg_lo, violator)`` of ``_phi_interval``."""
+    interval on each sign branch, ``(pos_hi, neg_lo, violator)``, where a
+    zero bound marks an empty branch and ``violator`` is the outcome from
+    which both are empty. ``_phi_bound`` keeps the positive branch."""
     pos_hi, neg_lo = math.inf, -math.inf
     violator = None
     for s in (1, 0):
@@ -416,19 +418,81 @@ class TestSynthesis:
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(table=f_tables())
-    def test_phi_interval_matches_reference_loop(self, table):
+    def test_phi_bound_matches_reference_loop(self, table):
+        # phi_max is the reference's positive branch; the wrong outcome is
+        # the first whose own bound, alone in the table, empties that branch
         f, zero = table
-        assert _phi_interval(f, zero) == reference_phi_interval(f, zero)
+        pos_hi = reference_phi_interval(f, zero)[0]
+        wrong = None
+        for s, b in ((s, b) for s in (1, 0) for b in range(f.shape[1])):
+            alone = np.full(f.shape, np.nan)
+            alone[s, b] = f[s, b]
+            if reference_phi_interval(alone, zero)[0] == 0.0:
+                wrong = (s, b)
+                break
+        assert _phi_bound(f, zero) == (pos_hi, wrong)
+        assert (wrong is None) == (pos_hi > 0.0)
 
-    def test_phi_interval_names_first_violator(self):
-        # positive cooperation entries empty the positive branch, and the
-        # positive defection entry b = 0 then empties the negative one
-        f = np.array([[2.0, 1.0, np.nan], [np.nan, 4.0, 5.0]])
+    def test_phi_bound_names_first_wrong_sign(self):
+        # the positive cooperation entry b = 1 fits no phi > 0, while the
+        # defection entries (positive) and the cooperation entry b = 2
+        # (negative) do
+        f = np.array([[2.0, 1.0, np.nan], [np.nan, 4.0, -5.0]])
         zero = np.full(f.shape, 1e-12)
-        assert _phi_interval(f, zero) == (0.0, 0.0, (0, 0))
-        assert reference_phi_interval(f, zero) == (0.0, 0.0, (0, 0))
-        f[0, 0] = 1e-13  # within the band: no bound, the violator moves on
-        assert _phi_interval(f, zero) == (0.0, 0.0, (0, 1))
+        assert _phi_bound(f, zero) == (0.0, (1, 1))
+        assert reference_phi_interval(f, zero)[0] == 0.0
+        f[1, 1] = 1e-13  # within the band: no bound, and no wrong sign
+        assert _phi_bound(f, zero) == (0.2, None)
+        f[0, 0] = -2.0  # a negative defection entry is the first wrong one
+        assert _phi_bound(f, zero) == (0.0, (0, 0))
+        f[:] = np.nan
+        assert _phi_bound(f, zero) == (math.inf, None)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(2, 40),
+           chi=st.sampled_from([0.0, 0.3, 0.9, 1 - 1e-15, 1 - 2.0**-53]),
+           where=st.sampled_from(["min", "mid", "max"]))
+    def test_admissible_games_need_no_negative_phi(self, data, n, chi,
+                                                   where):
+        # every admissible game with up to 9 outsiders: the negative branch
+        # is empty wherever some outcome bounds phi, and synthesize takes
+        # the positive one
+        na = data.draw(st.integers(max(1, n - 9), n - 1))
+        nl = data.draw(st.integers(na, n))
+        r_low = n / (n - na)
+        r_high = n / (n - 2 * na) if n > 2 * na else 1e6 * n
+        r = data.draw(st.floats(r_low, min(r_high, 1e6 * n),
+                                exclude_min=True, exclude_max=True))
+        shape = GameShape(n, nl, na, r)
+        assume(alliance_admissible(shape))
+        try:
+            l_min, l_max = feasible_l_range(chi, shape)
+        except InfeasibleError:
+            assume(False)
+        l = {"min": l_min, "mid": (l_min + l_max) / 2, "max": l_max}[where]
+        unison = unison_payoffs(shape)
+        f = chi * (unison.alliance - l) - (unison.outsiders - l)
+        pos_hi, neg_lo, _ = reference_phi_interval(
+            f, _zero_band(chi, l, unison))
+        if math.isinf(pos_hi):
+            with pytest.raises(ValueError, match="within rounding of 0"):
+                synthesize(ZDParams(chi, l, shape))
+            return
+        assert neg_lo == 0.0
+        result = synthesize(ZDParams(chi, l, shape))
+        assert result.phi > 0.0 and result.phi_interval == (0.0, pos_hi)
+
+    def test_unbounded_phi_refused_unless_given(self):
+        # at 1 - chi = 1e-15 and r = 1e15 every f entry is within rounding
+        # of 0, so no outcome bounds phi: the auto phi would be inf
+        shape, chi = GameShape(2, 1, 1, 1e15), 0.999999999999999
+        with pytest.raises(ValueError, match="no outcome bounds phi"):
+            synthesize(ZDParams(chi, 1.0, shape))
+        result = synthesize(ZDParams(chi, 1.0, shape, phi=1e-3))
+        assert result.phi_interval == (0.0, math.inf)
+        assert result.certificate <= 1e-8
+        with pytest.raises(InfeasibleError, match="outside feasible interval"):
+            synthesize(ZDParams(chi, 1.0, shape, phi=-1e-3))
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -473,6 +537,26 @@ class TestEnforcement:
                             result, random_outsiders(shape, rng)) <= 1e-12
                     checked += 1
         assert checked == 960
+
+    def test_synthesized_at_top_of_phi_interval(self):
+        # phi = phi_max sets some strategy entry at 0 or 1; the relation
+        # still holds, on criterion 01's grid and two N = 10 shapes
+        rng = np.random.default_rng(34)
+        shapes = [GameShape(n, n - 1, n - 1, 2.0 * n + 3.0)
+                  for n in (2, 3, 4, 5)]
+        for shape in [*shapes, GameShape(10, 9, 9, 23.0),
+                      GameShape(10, 7, 6, 23.0)]:
+            for chi in (0.0, 0.3, 0.6):
+                l_min, l_max = feasible_l_range(chi, shape)
+                for l in (l_min, (l_min + l_max) / 2, l_max,
+                          float(rng.uniform(l_min, l_max))):
+                    top = synthesize(ZDParams(chi, l, shape)).phi_interval[1]
+                    result = synthesize(ZDParams(chi, l, shape, phi=top))
+                    assert result.phi == top
+                    assert result.certificate <= 1e-12
+                    for _ in range(3):
+                        assert verify_enforcement(
+                            result, random_outsiders(shape, rng)) <= 1e-8
 
     @pytest.mark.parametrize("n", [20, 200, 1024])
     def test_nine_outsiders_certified_at_range_ends(self, n):

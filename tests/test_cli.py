@@ -445,6 +445,35 @@ class TestMain:
                      "--l", "11.42857142857143"]) == 0
         assert json.loads(capsys.readouterr().out)["residual"] <= 1e-8
 
+    def test_negative_phi_exit_code(self, capsys):
+        # the scaling is positive: a negative phi lies outside (0, phi_max]
+        assert main(["synth", "--players", "5", "--alliance", "4", "--r",
+                     "13", "--chi", "0.3", "--l", "6", "--phi", "-0.1"]) == 3
+        assert "outside feasible interval" in capsys.readouterr().err
+
+    # 1 - chi = 1e-15 and r = 1e15: every f entry is within rounding of 0,
+    # so no outcome bounds phi and only a given phi synthesizes
+    UNBOUNDED = ["--players", "2", "--alliance", "1", "--r", "1e15",
+                 "--chi", "0.999999999999999", "--l", "1"]
+
+    @pytest.mark.parametrize("command", ["synth", "verify"])
+    def test_unbounded_phi_exit_code(self, capsys, command):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([command, *self.UNBOUNDED])
+        assert rc == 2 and not caught
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "within rounding of 0" in err
+        assert "--phi" in err
+
+    @pytest.mark.parametrize("command", ["synth", "verify"])
+    def test_unbounded_phi_given(self, capsys, command):
+        assert main([command, *self.UNBOUNDED, "--phi", "1e-3"]) == 0
+        out = capsys.readouterr().out
+        residual = (json.loads(out)["residual"] if command == "synth"
+                    else float(out.split()[-1]))
+        assert residual <= 1e-8
+
     def test_closed_pipe_exit_code(self, tmp_path):
         # the reader closes stdout after one line of a 3,000-line report
         gpath = tmp_path / "ring.txt"
